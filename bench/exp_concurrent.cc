@@ -80,8 +80,8 @@ struct Row {
   std::string scenario;
   std::string algorithm;
   std::uint32_t workers = 0;  // 0 = single-threaded facade
-  /// Concurrent rows only: per-op Submit (the mutex queue hop per op) vs
-  /// OpBuffer/SubmitMany over the lock-free remote queues.
+  /// Concurrent rows only: per-op Submit (one remote-queue push per op)
+  /// vs OpBuffer/SubmitMany (one push per shard per batch).
   bool batched = false;
   /// Open-loop burst rows: paced arrivals at offered_ratio x capacity.
   bool burst = false;

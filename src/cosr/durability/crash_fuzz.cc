@@ -352,6 +352,10 @@ Status RunCrashFuzz(const CrashFuzzOptions& options, CrashFuzzReport* report) {
     if (options.rebalance) {
       report->migrations = concurrent->Stats().migrations;
     }
+    // A worker may still run a background rebalance scan (and checkpoint
+    // or journal on its shard) after the drain above. Joining the workers
+    // orders all of that before the snapshot and log reads below.
+    concurrent.reset();
   }
 
   for (std::uint32_t i = 0; i < options.shard_count; ++i) {

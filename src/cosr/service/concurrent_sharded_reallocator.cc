@@ -82,7 +82,7 @@ Status ConcurrentShardedReallocator::Make(
     // parent coordinate-for-coordinate, but workers share no mutable
     // storage state.
     shard.space = std::make_unique<AddressSpace>();
-    shard.remote = std::make_unique<RemoteQueue<std::vector<Item>>>();
+    shard.remote = std::make_unique<RemoteQueue<Delivery>>();
     if (AlgorithmNeedsCheckpointManager(spec.algorithm)) {
       shard.manager = std::make_unique<CheckpointManager>();
     }
@@ -106,7 +106,6 @@ Status ConcurrentShardedReallocator::Make(
   facade->name_ =
       "concurrent-sharded[" + std::to_string(options.shard_count) + "x" +
       std::to_string(workers) + "," + RoutingPolicyName(options.routing) +
-      (options.submit_path == SubmitPath::kMutexQueue ? ",mutex-queue" : "") +
       (options.rebalance ? ",rebalance" : "") + "]/" + spec.algorithm;
 
   facade->workers_.reserve(workers);
@@ -141,233 +140,43 @@ ConcurrentShardedReallocator::~ConcurrentShardedReallocator() {
   }
 }
 
-Status ConcurrentShardedReallocator::SubmitOp(const Request& op,
-                                              std::shared_ptr<OpToken> token) {
-  Item item;
-  item.kind =
-      op.type == Request::Type::kInsert ? OpKind::kInsert : OpKind::kDelete;
-  item.id = op.id;
-  item.size = op.size;
-  item.submit_ns = MonotonicNanos();
-  item.token = std::move(token);
-
-  if (!needs_routing_map_) {
-    item.shard = shard_for(op.id, op.size);
-    return Enqueue(item.shard, std::move(item), /*ticketed=*/false, 0);
-  }
-
-  // Map-keeping modes cannot re-derive an op's shard from the id alone
-  // (size-class deletes carry no size; least-loaded decisions depended on
-  // load; migrated ids' hashes are stale), so the facade keeps an
-  // id -> shard map, maintained at submit time. The map update no longer
-  // holds routing_mu_ across the enqueue: it stamps the op with the
-  // target shard's next admission ticket instead, and Enqueue admits
-  // ticketed items in ticket order (see the routing_mu_ field comment for
-  // the order proof). Ticketed items never drop, so the map is still a
-  // faithful prediction of execution: an op that reaches its shard always
-  // succeeds (Make rejects inner algorithms whose inserts can fail on a
-  // fresh id, see AlgorithmInsertCanFailOnFreshId).
-  if (op.type == Request::Type::kInsert && op.size == 0) {
-    return Status::InvalidArgument("size must be positive");
-  }
-  std::uint64_t ticket = 0;
-  {
-    std::lock_guard<std::mutex> lock(routing_mu_);
-    if (op.type == Request::Type::kInsert) {
-      const std::uint32_t target = RouteInsertLocked(op.id, op.size);
-      if (!placement_.TryAssign(op.id, target)) {
-        return Status::AlreadyExists(
-            "object " + std::to_string(op.id) + " is live on shard " +
-            std::to_string(placement_.Lookup(op.id, shard_count())));
-      }
-      if (!predicted_volume_.empty()) {
-        predicted_volume_[target] += op.size;
-        sizes_.emplace(op.id, op.size);
-      }
-      item.shard = target;
-    } else {
-      const std::uint32_t holder = placement_.Lookup(op.id, shard_count());
-      if (holder == shard_count()) {
-        return Status::NotFound("object " + std::to_string(op.id) +
-                                " is not live on any shard");
-      }
-      placement_.Erase(op.id);
-      if (!predicted_volume_.empty()) {
-        auto it = sizes_.find(op.id);
-        predicted_volume_[holder] -= it->second;
-        sizes_.erase(it);
-      }
-      item.shard = holder;
-    }
-    ticket = shards_[item.shard].tickets_issued++;
-    ++stamped_requests_[item.shard];
-  }
-  const std::uint32_t shard = item.shard;
-  return Enqueue(shard, std::move(item), /*ticketed=*/true, ticket);
-}
-
-void ConcurrentShardedReallocator::RecordDrop(std::uint32_t shard,
-                                              std::uint64_t count,
-                                              const Status& status) {
-  std::lock_guard<std::mutex> drop_lock(drop_mu_);
-  dropped_ops_[shard] += count;
-  last_drop_status_ = status;
-}
-
-Status ConcurrentShardedReallocator::Enqueue(std::uint32_t shard, Item item,
-                                             bool ticketed,
-                                             std::uint64_t ticket) {
-  Worker& worker = *workers_[shards_[shard].worker];
-  // Only real requests gate AddShardListener; internal markers
-  // (quiesce/checkpoint/snapshot) leave the facade as listener-attachable
-  // as before.
-  const bool is_request =
-      item.kind == OpKind::kInsert || item.kind == OpKind::kDelete;
-  if (is_request) {
-    requests_submitted_.fetch_add(1, std::memory_order_relaxed);
-  }
-  // Ticketed (size-class) items are never droppable: a drop would leave
-  // the routing map claiming a ghost (dropped insert) or a leak (dropped
-  // delete), and the admission counter would wedge behind the missing
-  // ticket. Size-class keeps pure backpressure by contract.
-  const bool droppable = is_request && !ticketed && item.token == nullptr &&
-                         options_.submit_max_retries > 0;
-  {
-    std::unique_lock<std::mutex> lock(worker.mu);
-    // Ticketed items wait for their turn as well as for space, so a
-    // shard's queue arrival order is exactly its ticket-issue order even
-    // though routing_mu_ was released before this point.
-    const auto can_admit = [&] {
-      return worker.queue.size() < options_.queue_capacity &&
-             (!ticketed || shards_[shard].tickets_admitted == ticket);
-    };
-    if (droppable) {
-      // Bounded backpressure: wait-with-doubling-backoff up to the retry
-      // budget, then drop rather than stall the producer forever.
-      auto backoff = options_.submit_retry_backoff;
-      std::size_t attempts = 0;
-      while (!can_admit()) {
-        if (attempts == options_.submit_max_retries) {
-          lock.unlock();
-          Status dropped = Status::ResourceExhausted(
-              "shard " + std::to_string(shard) + " queue full after " +
-              std::to_string(attempts) + " bounded retries");
-          RecordDrop(shard, 1, dropped);
-          return dropped;
-        }
-        ++attempts;
-        worker.cv_space.wait_for(lock, backoff, can_admit);
-        backoff *= 2;
-      }
-    } else {
-      worker.cv_space.wait(lock, can_admit);
-    }
-    worker.queue.push_back(std::move(item));
-    if (ticketed) ++shards_[shard].tickets_admitted;
-    worker.enqueued.fetch_add(1, std::memory_order_relaxed);
-  }
-  worker.cv_ready.notify_one();
-  // The next ticket holder may already be parked on cv_space waiting for
-  // its turn (not for capacity), so admission itself must wake waiters.
-  if (ticketed) worker.cv_space.notify_all();
-  return Status::Ok();
-}
-
 Status ConcurrentShardedReallocator::Submit(const Request& op) {
-  return SubmitOp(op, nullptr);
+  return SubmitBatch(&op, 1, /*tokens=*/nullptr, /*accepted=*/nullptr,
+                     /*per_op=*/true);
 }
 
 std::shared_ptr<OpToken> ConcurrentShardedReallocator::SubmitTracked(
     const Request& op) {
-  auto token = std::make_shared<OpToken>();
-  Status routed = SubmitOp(op, token);
-  if (!routed.ok()) token->Complete(std::move(routed));
-  return token;
+  std::vector<std::shared_ptr<OpToken>> tokens;
+  SubmitBatch(&op, 1, &tokens, /*accepted=*/nullptr, /*per_op=*/true);
+  return std::move(tokens.front());
 }
 
-Status ConcurrentShardedReallocator::PushRemote(std::uint32_t shard,
-                                                std::vector<Item> items,
-                                                std::size_t* delivered) {
-  *delivered = 0;
-  if (items.empty()) return Status::Ok();
-  Worker& worker = *workers_[shards_[shard].worker];
-  requests_submitted_.fetch_add(items.size(), std::memory_order_relaxed);
-  // Soft in-flight bound: the remote path has no queue to measure, so it
-  // gates on enqueued + remote_enqueued - completed. `completed` is read
-  // first — it only counts ops the other two already counted, so the
-  // subtraction can never underflow even with racy reads; reading it
-  // early at worst overestimates in-flight, which is the safe direction.
-  const std::size_t capacity = options_.queue_capacity;
-  const auto room = [&]() -> std::size_t {
-    const std::uint64_t completed =
-        worker.completed.load(std::memory_order_acquire);
-    const std::uint64_t in_flight =
-        worker.enqueued.load(std::memory_order_relaxed) +
-        worker.remote_enqueued.load(std::memory_order_relaxed) - completed;
-    return in_flight >= capacity ? 0 : capacity - in_flight;
-  };
-  // Unlike the per-op path, batches follow the bounded-retry drop policy
-  // even when tracked: the suffix tokens complete with the drop status,
-  // so nothing fails silently.
-  const bool droppable = options_.submit_max_retries > 0;
-  auto backoff = options_.submit_retry_backoff;
-  std::size_t attempts = 0;
-  while (*delivered < items.size()) {
-    const std::size_t space = room();
-    if (space == 0) {
-      if (droppable) {
-        if (attempts == options_.submit_max_retries) break;  // drop suffix
-        ++attempts;
-        std::unique_lock<std::mutex> lock(worker.mu);
-        worker.cv_space.wait_for(lock, backoff, [&] { return room() > 0; });
-        backoff *= 2;
-      } else {
-        std::unique_lock<std::mutex> lock(worker.mu);
-        worker.cv_space.wait(lock, [&] { return room() > 0; });
-      }
-      continue;
-    }
-    // Chunked delivery: never push more than the room observed, so a
-    // retry exhaustion drops exactly the undelivered suffix.
-    const std::size_t chunk = std::min(space, items.size() - *delivered);
-    const auto first = items.begin() + static_cast<std::ptrdiff_t>(*delivered);
-    auto* node = new RemoteQueue<std::vector<Item>>::Node(std::vector<Item>(
-        std::make_move_iterator(first),
-        std::make_move_iterator(first + static_cast<std::ptrdiff_t>(chunk))));
-    // Counted before the push so a Flush that captures its target after
-    // observing the push always waits for these ops; nothing blocks
-    // between the increment and the push, so the target stays reachable.
-    worker.remote_enqueued.fetch_add(chunk, std::memory_order_relaxed);
-    const bool was_empty = shards_[shard].remote->Push(node);
-    *delivered += chunk;
-    attempts = 0;
-    backoff = options_.submit_retry_backoff;
-    if (was_empty) {
-      // Empty -> non-empty is the only transition that can race a worker
-      // going to sleep. The empty critical section pairs our release-push
-      // with the worker's under-lock predicate check: either the worker
-      // sees the push, or it is already waiting and the notify lands.
-      { std::lock_guard<std::mutex> lock(worker.mu); }
-      worker.cv_ready.notify_one();
-    }
-  }
-  if (*delivered == items.size()) return Status::Ok();
-  const std::size_t dropped = items.size() - *delivered;
-  Status status = Status::ResourceExhausted(
-      "shard " + std::to_string(shard) + " queue full after " +
-      std::to_string(options_.submit_max_retries) +
-      " bounded retries; dropped batch suffix of " + std::to_string(dropped) +
-      " ops");
-  RecordDrop(shard, dropped, status);
-  for (std::size_t i = *delivered; i < items.size(); ++i) {
-    if (items[i].token != nullptr) items[i].token->Complete(status);
-  }
-  return status;
+Status ConcurrentShardedReallocator::SubmitMany(const Request* ops,
+                                                std::size_t count,
+                                                std::size_t* accepted) {
+  return SubmitBatch(ops, count, /*tokens=*/nullptr, accepted,
+                     /*per_op=*/false);
+}
+
+Status ConcurrentShardedReallocator::SubmitMany(const std::vector<Request>& ops,
+                                                std::size_t* accepted) {
+  return SubmitBatch(ops.data(), ops.size(), /*tokens=*/nullptr, accepted,
+                     /*per_op=*/false);
+}
+
+std::vector<std::shared_ptr<OpToken>>
+ConcurrentShardedReallocator::SubmitManyTracked(const Request* ops,
+                                                std::size_t count) {
+  std::vector<std::shared_ptr<OpToken>> tokens;
+  SubmitBatch(ops, count, &tokens, /*accepted=*/nullptr, /*per_op=*/false);
+  return tokens;
 }
 
 Status ConcurrentShardedReallocator::SubmitBatch(
     const Request* ops, std::size_t count,
-    std::vector<std::shared_ptr<OpToken>>* tokens, std::size_t* accepted) {
+    std::vector<std::shared_ptr<OpToken>>* tokens, std::size_t* accepted,
+    bool per_op) {
   if (tokens != nullptr) {
     tokens->clear();
     tokens->reserve(count);
@@ -375,170 +184,243 @@ Status ConcurrentShardedReallocator::SubmitBatch(
       tokens->push_back(std::make_shared<OpToken>());
     }
   }
+  requests_submitted_.fetch_add(count, std::memory_order_relaxed);
   std::size_t delivered_total = 0;
   Status first_error;
 
-  // One submit stamp for the whole batch: the batch is the submission
-  // event, and a per-op clock read would cost more than the mutex hop the
-  // batched path exists to amortize.
+  // One submit stamp for the whole call, taken before routing and any
+  // backpressure wait: the call is the submission event, and a per-op
+  // clock read would cost more than the queue hop a batch amortizes.
   const std::uint64_t submit_ns = MonotonicNanos();
-  const auto make_item = [&](std::size_t i) {
+  // Each target shard's items, in op order: one delivery per shard.
+  std::vector<std::vector<Item>> buckets(shard_count());
+  const auto stage = [&](std::size_t i, std::uint32_t shard) {
     Item item;
     item.kind = ops[i].type == Request::Type::kInsert ? OpKind::kInsert
                                                       : OpKind::kDelete;
+    item.shard = shard;
     item.id = ops[i].id;
     item.size = ops[i].size;
     item.submit_ns = submit_ns;
     if (tokens != nullptr) item.token = (*tokens)[i];
-    return item;
+    buckets[shard].push_back(std::move(item));
   };
 
-  if (options_.submit_path == SubmitPath::kMutexQueue) {
-    // The differential oracle: each op rides the mutex queue exactly as a
-    // per-op Submit would (tracked items never drop — a token must
-    // retire — matching SubmitTracked).
-    for (std::size_t i = 0; i < count; ++i) {
-      std::shared_ptr<OpToken> token =
-          tokens != nullptr ? (*tokens)[i] : nullptr;
-      Status status = SubmitOp(ops[i], token);
-      if (status.ok()) {
-        ++delivered_total;
-      } else {
-        if (token != nullptr) token->Complete(status);
-        if (first_error.ok()) first_error = status;
-      }
-    }
-    if (accepted != nullptr) *accepted = delivered_total;
-    return first_error;
-  }
-
   if (!needs_routing_map_) {
-    // Hash routing: bucket the batch per shard (preserving op order within
-    // each shard) and deliver each bucket with one capacity-gated
-    // lock-free push per chunk — no producer-side lock anywhere.
-    std::vector<std::vector<Item>> buckets(shard_count());
-    std::vector<std::vector<std::size_t>> bucket_index(shard_count());
+    // Hash routing: no producer-side lock anywhere; each bucket is a
+    // capacity-gated lock-free delivery. Per-op tracked submissions never
+    // drop (a token must retire); everything else follows the policy.
     for (std::size_t i = 0; i < count; ++i) {
-      Item item = make_item(i);
-      item.shard = shard_for(item.id, item.size);
-      bucket_index[item.shard].push_back(i);
-      buckets[item.shard].push_back(std::move(item));
+      stage(i, shard_for(ops[i].id, ops[i].size));
     }
-    // A drop statuses the batch with the failure of the *earliest* op (in
-    // batch order) that failed to deliver, across all shard buckets.
+    const bool droppable = options_.submit_max_retries > 0 &&
+                           !(per_op && tokens != nullptr);
+    // A drop statuses the call with the failure of the *earliest* op (in
+    // op order) that failed to deliver, across all target shards.
     std::size_t first_error_index = count;
     for (std::uint32_t s = 0; s < shard_count(); ++s) {
       if (buckets[s].empty()) continue;
       std::size_t delivered = 0;
-      Status status = PushRemote(s, std::move(buckets[s]), &delivered);
+      Status status = PushRemote(s, std::move(buckets[s]), droppable,
+                                 /*batched=*/!per_op, &delivered);
       delivered_total += delivered;
-      if (!status.ok() && bucket_index[s][delivered] < first_error_index) {
-        first_error_index = bucket_index[s][delivered];
-        first_error = status;
+      if (status.ok()) continue;
+      // Cold path: find shard s's first undelivered op in op order.
+      std::size_t nth = delivered;
+      for (std::size_t i = 0; i < first_error_index; ++i) {
+        if (shard_for(ops[i].id, ops[i].size) == s && nth-- == 0) {
+          first_error_index = i;
+          first_error = std::move(status);
+          break;
+        }
       }
     }
     if (accepted != nullptr) *accepted = delivered_total;
     return first_error;
   }
 
-  // Map-keeping routing: the batch amortizes routing_mu_ to ONE critical
-  // section for all its map updates and ticket grabs, then enqueues
-  // outside the lock on the ticketed mutex path (ticket order == map
-  // order, and ticketed items never drop, so the map stays exact).
-  struct Staged {
-    Item item;
-    std::uint64_t ticket;
-  };
-  std::vector<Staged> staged;
-  staged.reserve(count);
+  // Map-keeping routing: ONE routing_mu_ hold routes the whole call AND
+  // pushes every bucket, so each shard receives its items in map order
+  // (see the routing_mu_ comment). Map-kept items never drop — a drop
+  // would falsify the map — and backpressure waits come after release.
+  std::vector<std::uint32_t> targets;
   {
     std::lock_guard<std::mutex> lock(routing_mu_);
     for (std::size_t i = 0; i < count; ++i) {
-      Status rejected;
-      Item item = make_item(i);
-      if (ops[i].type == Request::Type::kInsert) {
-        if (ops[i].size == 0) {
-          rejected = Status::InvalidArgument("size must be positive");
-        } else {
-          const std::uint32_t target = RouteInsertLocked(ops[i].id,
-                                                         ops[i].size);
-          if (!placement_.TryAssign(ops[i].id, target)) {
-            rejected = Status::AlreadyExists(
-                "object " + std::to_string(ops[i].id) + " is live on shard " +
-                std::to_string(placement_.Lookup(ops[i].id, shard_count())));
-          } else {
-            if (!predicted_volume_.empty()) {
-              predicted_volume_[target] += ops[i].size;
-              sizes_.emplace(ops[i].id, ops[i].size);
-            }
-            item.shard = target;
-          }
-        }
-      } else {
-        const std::uint32_t holder =
-            placement_.Lookup(ops[i].id, shard_count());
-        if (holder == shard_count()) {
-          rejected = Status::NotFound("object " + std::to_string(ops[i].id) +
-                                      " is not live on any shard");
-        } else {
-          placement_.Erase(ops[i].id);
-          if (!predicted_volume_.empty()) {
-            auto it = sizes_.find(ops[i].id);
-            predicted_volume_[holder] -= it->second;
-            sizes_.erase(it);
-          }
-          item.shard = holder;
-        }
-      }
-      if (!rejected.ok()) {
-        // Submit-time rejection skips just this op; the batch continues.
-        if (item.token != nullptr) item.token->Complete(rejected);
-        if (first_error.ok()) first_error = std::move(rejected);
+      std::uint32_t shard = 0;
+      Status rejected = RouteLocked(ops[i], &shard);
+      if (rejected.ok()) {
+        stage(i, shard);
         continue;
       }
-      const std::uint64_t ticket = shards_[item.shard].tickets_issued++;
-      ++stamped_requests_[item.shard];
-      staged.push_back(Staged{std::move(item), ticket});
+      // Submit-time rejection skips just this op; the batch continues.
+      if (tokens != nullptr) (*tokens)[i]->Complete(rejected);
+      if (first_error.ok()) first_error = std::move(rejected);
+    }
+    for (std::uint32_t s = 0; s < shard_count(); ++s) {
+      if (buckets[s].empty()) continue;
+      delivered_total += buckets[s].size();
+      Push(s, std::move(buckets[s]), /*batched=*/!per_op);
+      targets.push_back(s);
     }
   }
-  for (Staged& s : staged) {
-    const std::uint32_t shard = s.item.shard;
-    // Ticketed enqueues always succeed (pure backpressure).
-    Enqueue(shard, std::move(s.item), /*ticketed=*/true, s.ticket);
-    ++delivered_total;
+  for (std::uint32_t s : targets) {
+    AwaitRoom(*workers_[shards_[s].worker], /*droppable=*/false);
   }
   if (accepted != nullptr) *accepted = delivered_total;
   return first_error;
 }
 
-Status ConcurrentShardedReallocator::SubmitMany(const Request* ops,
-                                                std::size_t count,
-                                                std::size_t* accepted) {
-  return SubmitBatch(ops, count, /*tokens=*/nullptr, accepted);
+Status ConcurrentShardedReallocator::RouteLocked(const Request& op,
+                                                 std::uint32_t* shard) {
+  if (op.type == Request::Type::kInsert) {
+    if (op.size == 0) return Status::InvalidArgument("size must be positive");
+    const std::uint32_t target = RouteInsertLocked(op.id, op.size);
+    if (!placement_.TryAssign(op.id, target)) {
+      return Status::AlreadyExists(
+          "object " + std::to_string(op.id) + " is live on shard " +
+          std::to_string(placement_.Lookup(op.id, shard_count())));
+    }
+    if (!predicted_volume_.empty()) {
+      predicted_volume_[target] += op.size;
+      sizes_.emplace(op.id, op.size);
+    }
+    *shard = target;
+  } else {
+    const std::uint32_t holder = placement_.Lookup(op.id, shard_count());
+    if (holder == shard_count()) {
+      return Status::NotFound("object " + std::to_string(op.id) +
+                              " is not live on any shard");
+    }
+    placement_.Erase(op.id);
+    if (!predicted_volume_.empty()) {
+      auto it = sizes_.find(op.id);
+      predicted_volume_[holder] -= it->second;
+      sizes_.erase(it);
+    }
+    *shard = holder;
+  }
+  ++stamped_requests_[*shard];
+  return Status::Ok();
 }
 
-Status ConcurrentShardedReallocator::SubmitMany(const std::vector<Request>& ops,
-                                                std::size_t* accepted) {
-  return SubmitBatch(ops.data(), ops.size(), /*tokens=*/nullptr, accepted);
+void ConcurrentShardedReallocator::Push(std::uint32_t shard,
+                                        std::vector<Item> items,
+                                        bool batched) {
+  COSR_CHECK(!items.empty());
+  Worker& worker = *workers_[shards_[shard].worker];
+  // Counted before the push so a Flush that captures its target after
+  // observing the push always waits for these ops; nothing blocks between
+  // the increment and the push, so the target stays reachable.
+  worker.pushed.fetch_add(items.size(), std::memory_order_relaxed);
+  auto* node = new RemoteQueue<Delivery>::Node(Delivery{});
+  if (items.size() == 1) {
+    node->value.single = std::move(items.front());
+  } else {
+    items.shrink_to_fit();  // the run waits in the queue: no spare capacity
+    node->value.items = std::move(items);
+  }
+  node->value.batched = batched;
+  if (shards_[shard].remote->Push(node)) {
+    // Empty -> non-empty is the only transition that can race a worker
+    // going to sleep. The empty critical section pairs our release-push
+    // with the worker's under-lock predicate check: either the worker
+    // sees the push, or it is already waiting and the notify lands.
+    { std::lock_guard<std::mutex> lock(worker.mu); }
+    worker.cv_ready.notify_one();
+  }
 }
 
-std::vector<std::shared_ptr<OpToken>>
-ConcurrentShardedReallocator::SubmitManyTracked(const Request* ops,
-                                                std::size_t count) {
-  std::vector<std::shared_ptr<OpToken>> tokens;
-  SubmitBatch(ops, count, &tokens, /*accepted=*/nullptr);
-  return tokens;
+std::size_t ConcurrentShardedReallocator::AwaitRoom(Worker& worker,
+                                                    bool droppable) {
+  // Soft in-flight bound: pushed - completed. `completed` is read first —
+  // it only counts items `pushed` already counted, so the subtraction can
+  // never underflow even with racy reads; reading it early at worst
+  // overestimates in-flight, which is the safe direction.
+  const std::size_t capacity = options_.queue_capacity;
+  std::size_t room = 0;
+  const auto has_room = [&] {
+    const std::uint64_t completed =
+        worker.completed.load(std::memory_order_acquire);
+    const std::uint64_t in_flight =
+        worker.pushed.load(std::memory_order_relaxed) - completed;
+    room = in_flight >= capacity ? 0 : capacity - in_flight;
+    return room > 0;
+  };
+  if (has_room()) return room;
+  std::unique_lock<std::mutex> lock(worker.mu);
+  if (!droppable) {
+    worker.cv_space.wait(lock, has_room);
+    return room;
+  }
+  // Bounded backpressure: wait-with-doubling-backoff up to the retry
+  // budget, then report no room rather than stall the producer forever.
+  auto backoff = options_.submit_retry_backoff;
+  for (std::size_t attempt = 0; attempt < options_.submit_max_retries;
+       ++attempt) {
+    if (worker.cv_space.wait_for(lock, backoff, has_room)) return room;
+    backoff *= 2;
+  }
+  return 0;
+}
+
+Status ConcurrentShardedReallocator::PushRemote(std::uint32_t shard,
+                                                std::vector<Item> items,
+                                                bool droppable, bool batched,
+                                                std::size_t* delivered) {
+  Worker& worker = *workers_[shards_[shard].worker];
+  const std::size_t total = items.size();
+  *delivered = 0;
+  while (*delivered < total) {
+    const std::size_t room = AwaitRoom(worker, droppable);
+    if (room == 0) break;  // retries exhausted: drop the suffix
+    // Chunked delivery: never push more than the room observed, so a
+    // retry exhaustion drops exactly the undelivered suffix.
+    const std::size_t chunk = std::min(room, total - *delivered);
+    if (chunk == total) {
+      Push(shard, std::move(items), batched);
+    } else {
+      const auto first =
+          items.begin() + static_cast<std::ptrdiff_t>(*delivered);
+      Push(shard,
+           std::vector<Item>(std::make_move_iterator(first),
+                             std::make_move_iterator(
+                                 first + static_cast<std::ptrdiff_t>(chunk))),
+           batched);
+    }
+    *delivered += chunk;
+  }
+  if (*delivered == total) return Status::Ok();
+  const std::size_t dropped = total - *delivered;
+  Status status = Status::ResourceExhausted(
+      "shard " + std::to_string(shard) + " queue full after " +
+      std::to_string(options_.submit_max_retries) +
+      " bounded retries; dropped " + std::to_string(dropped) + " ops");
+  {
+    std::lock_guard<std::mutex> drop_lock(drop_mu_);
+    dropped_ops_[shard] += dropped;
+    last_drop_status_ = status;
+  }
+  for (std::size_t i = *delivered; i < total; ++i) {
+    if (items[i].token != nullptr) items[i].token->Complete(status);
+  }
+  return status;
+}
+
+void ConcurrentShardedReallocator::PushMarker(Item item) {
+  const std::uint32_t shard = item.shard;
+  std::size_t delivered = 0;
+  PushRemote(shard, {std::move(item)}, /*droppable=*/false,
+             /*batched=*/false, &delivered);
 }
 
 void ConcurrentShardedReallocator::Flush() {
   for (std::unique_ptr<Worker>& worker : workers_) {
     std::unique_lock<std::mutex> lock(worker->mu);
-    // Both paths count toward the drain target. remote_enqueued is bumped
-    // just before each lock-free push with nothing blocking in between,
-    // so a captured target is always eventually completed.
-    const std::uint64_t target =
-        worker->enqueued.load(std::memory_order_relaxed) +
-        worker->remote_enqueued.load(std::memory_order_relaxed);
+    // `pushed` is bumped just before each lock-free push with nothing
+    // blocking in between, so a captured target is always eventually
+    // completed.
+    const std::uint64_t target = worker->pushed.load(std::memory_order_relaxed);
     worker->cv_drained.wait(lock, [&] {
       return worker->completed.load(std::memory_order_acquire) >= target;
     });
@@ -567,7 +449,7 @@ void ConcurrentShardedReallocator::Quiesce() {
     Item item;
     item.kind = OpKind::kQuiesce;
     item.shard = i;
-    Enqueue(i, std::move(item), /*ticketed=*/false, 0);
+    PushMarker(std::move(item));
   }
   Flush();
 }
@@ -579,14 +461,15 @@ void ConcurrentShardedReallocator::CheckpointAll() {
     Item item;
     item.kind = OpKind::kCheckpoint;
     item.shard = i;
-    Enqueue(i, std::move(item), /*ticketed=*/false, 0);
+    PushMarker(std::move(item));
   }
   Flush();
 }
 
 ShardStats ConcurrentShardedReallocator::Stats() {
-  // Each shard is snapshotted *on its owning worker* by a queued marker
-  // op: FIFO puts the marker behind every op submitted before this call,
+  // Each shard is snapshotted *on its owning worker* by a marker op on
+  // the shard's remote queue: push order puts the marker behind every op
+  // any entry point submitted before this call,
   // and only the owner ever touches the shard's mutable state, so the
   // read is race-free even while other producers keep submitting (their
   // later ops simply land behind the marker).
@@ -602,7 +485,7 @@ ShardStats ConcurrentShardedReallocator::Stats() {
     item.max_end_out = &max_end[i];
     item.token = std::make_shared<OpToken>();
     tokens.push_back(item.token);
-    Enqueue(i, std::move(item), /*ticketed=*/false, 0);
+    PushMarker(std::move(item));
   }
   for (const auto& token : tokens) token->Wait();
 
@@ -711,7 +594,7 @@ void ConcurrentShardedReallocator::MaybeRebalance(Worker& worker) {
       counters_[plan.hot].ops.load(std::memory_order_relaxed)) {
     return;
   }
-  Worker& dest_worker = *workers_[shards_[plan.cold].worker];
+  std::vector<Item> arrivals;
   for (const std::pair<ObjectId, Extent>& victim : victims) {
     const ObjectId id = victim.first;
     const std::uint64_t size = victim.second.length;
@@ -728,76 +611,57 @@ void ConcurrentShardedReallocator::MaybeRebalance(Worker& worker) {
       predicted_volume_[plan.hot] -= size;
       predicted_volume_[plan.cold] += size;
     }
-    // Destination side: a kMigrateIn pushed straight into the owning
-    // worker's queue under its mu — capacity-exempt (a worker must never
-    // park on a producer-side backpressure wait) and unticketed, but
-    // ordered before any later-submitted op for this id because such an
-    // op can only be stamped under the routing_mu_ we hold, and will
-    // land behind us in the same FIFO. Lock order routing_mu_ ->
-    // worker.mu matches the submit path, and the push never blocks, so
-    // two workers rebalancing toward each other cannot deadlock.
     Item item;
     item.kind = OpKind::kMigrateIn;
     item.shard = plan.cold;
     item.id = id;
     item.size = size;
-    {
-      std::lock_guard<std::mutex> dest_lock(dest_worker.mu);
-      dest_worker.queue.push_back(std::move(item));
-      dest_worker.enqueued.fetch_add(1, std::memory_order_relaxed);
-    }
-    dest_worker.cv_ready.notify_one();
+    arrivals.push_back(std::move(item));
   }
+  // Destination side: the kMigrateIn items, pushed onto the cold shard's
+  // remote queue while routing_mu_ is still held — capacity-exempt (a
+  // worker must never park on a producer-side backpressure wait), but
+  // ordered before any later-submitted op for these ids because such an
+  // op can only be routed under this lock, and is pushed behind us. Lock
+  // order routing_mu_ -> worker.mu matches the submit path, and the push
+  // never blocks, so two workers rebalancing toward each other cannot
+  // deadlock.
+  Push(plan.cold, std::move(arrivals), /*batched=*/false);
 }
 
 void ConcurrentShardedReallocator::WorkerLoop(Worker& worker) {
-  std::vector<Item> batch;
-  const auto remote_pending = [&] {
+  const auto pending = [&] {
     for (std::uint32_t s : worker.owned_shards) {
       if (!shards_[s].remote->empty()) return true;
     }
     return false;
   };
   for (;;) {
-    bool took_mutex_batch = false;
     bool stopping = false;
     {
       std::unique_lock<std::mutex> lock(worker.mu);
-      worker.cv_ready.wait(lock, [&] {
-        return !worker.queue.empty() || remote_pending() || worker.stop;
-      });
-      // Stop only once BOTH paths are drained: the mutex queue and every
-      // owned shard's remote queue.
-      if (worker.queue.empty() && !remote_pending()) break;
+      worker.cv_ready.wait(lock, [&] { return pending() || worker.stop; });
+      // Stop only once every owned shard's remote queue is drained.
+      if (!pending()) break;
       stopping = worker.stop;
-      if (!worker.queue.empty()) {
-        batch.assign(std::make_move_iterator(worker.queue.begin()),
-                     std::make_move_iterator(worker.queue.end()));
-        worker.queue.clear();
-        took_mutex_batch = true;
-      }
     }
-    if (took_mutex_batch) worker.cv_space.notify_all();
-    // One clock read per drained item, not two: each op's end timestamp is
-    // the next op's start (the worker runs them back to back).
+    // Take each owned shard's whole list in one acquire-exchange, then
+    // execute node-by-node in push order. Only this thread ever takes, so
+    // no other synchronization. One clock read per item, not two: each
+    // op's end timestamp is the next op's start (they run back to back).
     std::uint64_t now = MonotonicNanos();
-    for (const Item& item : batch) {
-      now = ExecuteTimed(item, now);
-      // Release pairs with Flush's acquire: once a flusher observes the
-      // count, every effect of the op is visible to it.
-      worker.completed.fetch_add(1, std::memory_order_release);
-    }
-    batch.clear();
-    // Alternate with the remote path: take each owned shard's whole list
-    // in one acquire-exchange, then execute node-by-node in arrival
-    // order. Only this thread ever takes, so no other synchronization.
     for (std::uint32_t s : worker.owned_shards) {
       auto* node = shards_[s].remote->TakeAll();
       while (node != nullptr) {
-        counters_[s].RecordRemoteBatch(node->value.size());
-        now = MonotonicNanos();
-        for (const Item& item : node->value) {
-          now = ExecuteTimed(item, now);
+        const Delivery& delivery = node->value;
+        const bool single = delivery.items.empty();
+        const Item* item = single ? &delivery.single : delivery.items.data();
+        const Item* end = single ? item + 1 : item + delivery.items.size();
+        if (delivery.batched) counters_[s].RecordRemoteBatch(end - item);
+        for (; item != end; ++item) {
+          now = ExecuteTimed(*item, now);
+          // Release pairs with Flush's and AwaitRoom's acquire: once a
+          // reader observes the count, every effect of the op is visible.
           worker.completed.fetch_add(1, std::memory_order_release);
         }
         auto* next = node->next;
@@ -811,8 +675,7 @@ void ConcurrentShardedReallocator::WorkerLoop(Worker& worker) {
       std::lock_guard<std::mutex> lock(worker.mu);
     }
     worker.cv_drained.notify_all();
-    // Completions also free in-flight room for the batched producers'
-    // soft capacity gate, not just mutex-queue slots.
+    // Completions free in-flight room for producers held at the bound.
     worker.cv_space.notify_all();
     // Background rebalancing rides the drain cadence: a scan every
     // check_interval cycles, skipped once shutdown has begun (a migration
@@ -912,7 +775,7 @@ std::uint64_t ConcurrentShardedReallocator::ExecuteTimed(
   const std::uint64_t end_ns = MonotonicNanos();
   ShardLatencyRecorders& lat = latency_[item.shard];
   // queue_wait spans submit stamp -> execution start, so it includes any
-  // backpressure stall the producer ate inside Enqueue, not just the time
+  // backpressure stall the producer ate before its push, not just the time
   // the item sat in a queue.
   lat.queue_wait.Record(SaturatingElapsed(start_ns, item.submit_ns));
   lat.service.Record(SaturatingElapsed(end_ns, start_ns));

@@ -6,7 +6,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -70,8 +69,8 @@ class OpToken {
 
 /// The concurrent execution mode of the service layer: K shards as in
 /// ShardedReallocator, but each shard's inner reallocator is driven by one
-/// of W worker threads over a bounded MPSC request queue, so the K
-/// reallocators genuinely run in parallel.
+/// of W worker threads over the shard's lock-free MPSC remote queue, so the
+/// K reallocators genuinely run in parallel.
 ///
 /// Why that is sound: the source paper's guarantees are per-allocator, and
 /// the shards' sub-problems are disjoint by construction. In concurrent
@@ -85,17 +84,14 @@ class OpToken {
 /// slot tables instead of one shared one.
 ///
 /// Thread-safety contract, per surface:
-///   * Submit / SubmitTracked / Insert / Delete — thread-safe (MPSC: any
-///     number of producers). Per-shard request order follows producer
-///     submission order; with multiple producers racing, cross-producer
-///     order per shard is the queue arrival order.
-///   * SubmitMany / SubmitManyTracked — thread-safe. One batch's ops for
-///     one shard execute in batch order; batches from one producer to one
-///     shard execute in submission order. Ordering ACROSS the two paths
-///     (a producer mixing SubmitMany with per-op Submit) is only defined
-///     through a Flush barrier between them — the batched path rides
-///     per-shard lock-free RemoteQueues, the per-op path rides the mutex
-///     queue, and the worker drains them alternately.
+///   * Submit / SubmitTracked / Insert / Delete / SubmitMany /
+///     SubmitManyTracked — thread-safe (MPSC: any number of producers).
+///     Every entry point, and every internal marker, rides the same
+///     per-shard remote queue, so one producer's ops on one shard execute
+///     in that producer's submission order whichever entry points it
+///     mixes (per-producer, per-shard FIFO); a batch's ops for one shard
+///     execute in batch order. With multiple producers racing,
+///     cross-producer order per shard is the queue arrival order.
 ///   * Flush / Quiesce — thread-safe; they drain everything submitted
 ///     before the call (release/acquire on the completion counters).
 ///   * Stats — thread-safe even while other producers keep submitting:
@@ -127,32 +123,33 @@ class ConcurrentShardedReallocator final : public Reallocator {
     /// Width of each shard's sub-range (same default as the single-threaded
     /// facade, so layouts are comparable across modes).
     std::uint64_t subrange_span = 1ull << 44;
-    /// Bound of each worker's request queue, in ops; producers block when
-    /// the target worker's queue is full (backpressure, not drop).
+    /// Soft bound on each worker's in-flight ops (queued plus executing);
+    /// producers block while the target worker is at the bound
+    /// (backpressure, not drop). Soft because racing producers and a
+    /// map-keeping batch (which pushes first and waits after, see
+    /// routing_mu_) can overshoot it by one delivery each.
     std::size_t queue_capacity = 4096;
-    /// Overload policy for fire-and-forget Submit when the target queue is
-    /// full. 0 (default) keeps pure backpressure: block until space frees
-    /// up. With N >= 1 the producer retries up to N bounded waits with
-    /// doubling backoff (starting at submit_retry_backoff); if the queue
-    /// is still full the op is DROPPED: Submit returns ResourceExhausted
-    /// and the drop is recorded in Stats() (per-shard dropped_ops plus the
-    /// facade-wide last_drop_status). Per-op tracked/synchronous
+    /// Overload policy for fire-and-forget Submit when the target worker
+    /// is at its in-flight bound. 0 (default) keeps pure backpressure:
+    /// block until room frees up. With N >= 1 the producer retries up to N
+    /// bounded waits with doubling backoff (starting at
+    /// submit_retry_backoff); if there is still no room the op is
+    /// DROPPED: Submit returns ResourceExhausted and the drop is recorded
+    /// in Stats() (per-shard dropped_ops plus the facade-wide
+    /// last_drop_status). Per-op tracked/synchronous
     /// submissions and internal markers always block — a token must
     /// retire. SubmitMany batches (tracked or not) follow the policy too:
     /// a batch that exhausts its retries drops exactly its undelivered
     /// suffix, counted per shard, with any suffix tokens completed as
-    /// ResourceExhausted. Size-class routing never drops: its id map is a
-    /// submit-time prediction of execution that a drop would falsify
-    /// (ghost/leaked map entries), so that routing mode always keeps pure
-    /// backpressure regardless of this knob.
+    /// ResourceExhausted. Map-keeping modes (size-class or least-loaded
+    /// routing, or rebalance) never drop: their id map is a submit-time
+    /// prediction of execution that a drop would falsify (ghost/leaked map
+    /// entries), so they always keep pure backpressure regardless of this
+    /// knob.
     std::size_t submit_max_retries = 0;
     std::chrono::microseconds submit_retry_backoff{50};
-    /// Which delivery mechanism SubmitMany uses (per-op Submit always
-    /// rides the mutex queue). kRemoteBatched is the production default;
-    /// kMutexQueue is the PR 5 differential oracle. Map-keeping
-    /// configurations (size-class or least-loaded routing, or rebalance
-    /// enabled) always deliver batches over the ticketed mutex path —
-    /// the placement map's order proof lives there.
+    /// Selects nothing: the remote queues are the only delivery path.
+    /// Kept only so existing callers that set it still compile.
     SubmitPath submit_path = SubmitPath::kRemoteBatched;
     /// Enables background rebalancing: every
     /// rebalance_options.check_interval drain cycles, each worker scans
@@ -160,10 +157,9 @@ class ConcurrentShardedReallocator final : public Reallocator {
     /// bounded batch of that shard's frontier objects to the coldest
     /// shard (kMigrateIn ops delivered straight to the destination's
     /// owner). Forces the id placement map (a migrated id's hash no
-    /// longer names its shard), which in turn forces pure backpressure
-    /// and the ticketed mutex batch path. Rejected for inner algorithms
-    /// whose inserts can fail on a fresh id (the destination insert of a
-    /// migration must not fail).
+    /// longer names its shard), which in turn forces pure backpressure.
+    /// Rejected for inner algorithms whose inserts can fail on a fresh id
+    /// (the destination insert of a migration must not fail).
     bool rebalance = false;
     RebalanceOptions rebalance_options;
   };
@@ -180,7 +176,7 @@ class ConcurrentShardedReallocator final : public Reallocator {
 
   /// Fire-and-forget submission. Ok means "accepted and enqueued"; the
   /// op's own outcome lands in the shard's failed_ops counter if it fails.
-  /// A non-ok return is a submit-time rejection (size-class routing
+  /// A non-ok return is a submit-time rejection (map-keeping routing
   /// validates against its id map before enqueueing) or — only with
   /// Options::submit_max_retries > 0 — a ResourceExhausted drop after the
   /// bounded backpressure retries ran out.
@@ -191,15 +187,14 @@ class ConcurrentShardedReallocator final : public Reallocator {
   std::shared_ptr<OpToken> SubmitTracked(const Request& op);
 
   /// Batched fire-and-forget submission: semantically `Submit(op)` for
-  /// each op in order, delivered over the path Options::submit_path
-  /// selects. On the default kRemoteBatched path a batch costs its
-  /// producer one routing pass plus one lock-free push per target shard
-  /// (size-class routing: one id-map lock per batch instead of per op) —
-  /// the ~100 ns mutex hop amortizes to noise against the ~0.6-1.5 us of
-  /// per-op reallocation work.
+  /// each op in order. A batch costs its producer one routing pass plus
+  /// one lock-free push per target shard (map-keeping routing: one
+  /// routing_mu_ hold per batch instead of per op), so the queue hop
+  /// amortizes to noise against the ~0.6-1.5 us of per-op reallocation
+  /// work.
   ///
   /// Returns Ok when every op was enqueued. Submit-time rejections
-  /// (size-class map validation) skip just that op and the batch
+  /// (map-keeping validation) skip just that op and the batch
   /// continues; a bounded-retry drop (hash routing only, see Options)
   /// stops that shard's delivery and drops the undelivered suffix,
   /// counted in dropped_ops. Either way the first non-ok status in op
@@ -256,7 +251,6 @@ class ConcurrentShardedReallocator final : public Reallocator {
     return static_cast<std::uint32_t>(workers_.size());
   }
   RoutingPolicy routing() const { return options_.routing; }
-  SubmitPath submit_path() const { return options_.submit_path; }
 
   /// The static routing prediction for an (id, size) insert. For
   /// kLeastLoaded this is only the hash fallback: the live decision
@@ -296,10 +290,10 @@ class ConcurrentShardedReallocator final : public Reallocator {
     kCheckpoint,
     kSnapshot,
     /// A migrated object arriving on its destination shard. Pushed by the
-    /// SOURCE shard's owner straight into the destination worker's queue
-    /// (capacity-exempt, unticketed) under routing_mu_, so it is ordered
-    /// before any later-submitted op for the same id (which must route
-    /// through the already-repointed map).
+    /// SOURCE shard's owner onto the destination shard's remote queue
+    /// (capacity-exempt) under routing_mu_, so it is ordered before any
+    /// later-submitted op for the same id (which must route through the
+    /// already-repointed map).
     kMigrateIn,
   };
 
@@ -310,8 +304,8 @@ class ConcurrentShardedReallocator final : public Reallocator {
     std::uint64_t size = 0;
     /// Insert/delete only: MonotonicNanos() at submit time, taken BEFORE
     /// any routing or backpressure wait, so the recorded queue-wait
-    /// includes producer-side admission stalls (SubmitMany stamps once
-    /// per batch). Zero for internal markers, which are never tracked.
+    /// includes producer-side backpressure stalls (one stamp per
+    /// submission call). Zero for internal markers, which are never tracked.
     std::uint64_t submit_ns = 0;
     std::shared_ptr<OpToken> token;  // null for fire-and-forget
     /// kSnapshot only: where the owning worker writes the shard's stats
@@ -319,6 +313,17 @@ class ConcurrentShardedReallocator final : public Reallocator {
     /// (Stats() waits on the token before reading).
     ShardStats::PerShard* snapshot_out = nullptr;
     std::uint64_t* max_end_out = nullptr;
+  };
+
+  /// One remote-queue node: a run of items for one shard, in order. A
+  /// one-item run (every per-op call) is held inline in `single` with
+  /// `items` empty, so it costs one cross-thread allocation, not two.
+  struct Delivery {
+    Item single;
+    std::vector<Item> items;
+    /// SubmitMany/SubmitManyTracked deliveries only: counted in the
+    /// shard's remote_batches / batched_ops when drained.
+    bool batched = false;
   };
 
   struct Shard {
@@ -331,35 +336,23 @@ class ConcurrentShardedReallocator final : public Reallocator {
     /// counters into Stats() race-free).
     class MoveLog* log = nullptr;
     std::uint32_t worker = 0;
-    /// The shard's lock-free remote queue: producers push op batches
-    /// (SubmitMany, hash routing), only the owning worker takes. Behind a
-    /// pointer only because the atomic head would otherwise pin Shard as
+    /// The shard's lock-free remote queue, the only way items reach it:
+    /// any thread pushes, only the owning worker takes. Behind a pointer
+    /// only because the atomic head would otherwise pin Shard as
     /// immovable; allocated once in Make, never null afterwards.
-    std::unique_ptr<RemoteQueue<std::vector<Item>>> remote;
-    /// Size-class admission tickets. `tickets_issued` is the per-shard
-    /// order stamped under routing_mu_ at the same instant as the id-map
-    /// update; `tickets_admitted` (guarded by the owning worker's mu)
-    /// gates queue insertion so arrival order can never diverge from map
-    /// order even though the map lock no longer spans the enqueue.
-    std::uint64_t tickets_issued = 0;
-    std::uint64_t tickets_admitted = 0;
+    std::unique_ptr<RemoteQueue<Delivery>> remote;
   };
 
-  /// One worker: a bounded MPSC queue plus its drain accounting.
-  /// `queue`/`stop` are guarded by `mu`. `enqueued` is written under `mu`
-  /// but atomic so the batched path's in-flight gate reads it lock-free;
-  /// `remote_enqueued` is bumped by producers right before a lock-free
-  /// push; `completed` counts every executed op (both paths), so Flush's
-  /// wait predicate and the in-flight gate never need the worker's lock.
+  /// One worker: its owned shards plus drain accounting. `stop` is
+  /// guarded by `mu`. `pushed` is bumped right before each lock-free push
+  /// to an owned shard and `completed` after each executed item, so
+  /// Flush's wait predicate and the in-flight gate never need the lock.
   struct Worker {
     std::mutex mu;
     std::condition_variable cv_ready;    // worker waits: work available
-    std::condition_variable cv_space;    // producers wait: queue full /
-                                         // not their ticket's turn yet
+    std::condition_variable cv_space;    // producers wait: in-flight bound
     std::condition_variable cv_drained;  // flushers wait: batch retired
-    std::deque<Item> queue;
-    std::atomic<std::uint64_t> enqueued{0};
-    std::atomic<std::uint64_t> remote_enqueued{0};
+    std::atomic<std::uint64_t> pushed{0};
     std::atomic<std::uint64_t> completed{0};
     bool stop = false;
     std::vector<std::uint32_t> owned_shards;
@@ -373,32 +366,37 @@ class ConcurrentShardedReallocator final : public Reallocator {
 
   ConcurrentShardedReallocator(const Options& options) : options_(options) {}
 
-  /// Routing + submit-time validation + enqueue. For size-class routing
-  /// the id-map critical section covers only the map update plus a
-  /// per-shard ticket grab; the enqueue happens outside the lock, with
-  /// the ticket enforcing map-order == arrival-order (see Enqueue). A
-  /// non-ok return means nothing was enqueued.
-  Status SubmitOp(const Request& op, std::shared_ptr<OpToken> token);
-  /// Shared implementation of SubmitMany / SubmitManyTracked.
+  /// The one submission routine: routing, submit-time validation and
+  /// delivery for every entry point (a per-op call is a one-op batch with
+  /// `per_op` set: its tracked form never drops, and it is not counted as
+  /// a remote batch). Returns the first non-ok status in op order;
+  /// `*accepted` (when non-null) reports how many ops were enqueued.
   Status SubmitBatch(const Request* ops, std::size_t count,
                      std::vector<std::shared_ptr<OpToken>>* tokens,
-                     std::size_t* accepted);
-  /// Mutex-queue insertion. Ticketed items (size-class) are admitted in
-  /// per-shard ticket order and never drop; non-ticketed fire-and-forget
-  /// items with submit_max_retries > 0 may drop after bounded retries
-  /// (the only non-ok return); everything else blocks until enqueued.
-  Status Enqueue(std::uint32_t shard, Item item, bool ticketed,
-                 std::uint64_t ticket);
-  /// Batched path: capacity-gated lock-free delivery of `items` (in
-  /// order) to `shard`'s RemoteQueue, chunked to the soft in-flight
-  /// bound. On a bounded-retry drop the undelivered suffix is counted per
-  /// shard and any suffix tokens (carried inside the items) complete with
-  /// the drop status, which is also returned. `*delivered` reports how
-  /// many leading items actually reached the queue.
+                     std::size_t* accepted, bool per_op);
+  /// Map-keeping routing of one insert/delete, routing_mu_ held:
+  /// validates against the placement map, updates it (and the
+  /// least-loaded prediction) and stamps the target shard. A non-ok
+  /// return leaves every structure untouched.
+  Status RouteLocked(const Request& op, std::uint32_t* shard);
+  /// The lock-free delivery step: counts `items` into the owning worker's
+  /// `pushed`, pushes them as one node onto `shard`'s remote queue, and
+  /// wakes the owner on the empty -> non-empty transition. Never blocks.
+  void Push(std::uint32_t shard, std::vector<Item> items, bool batched);
+  /// Blocks until `worker` is below its in-flight bound and returns the
+  /// room left; with `droppable` the wait is the bounded-retry policy
+  /// and 0 means the retries ran out.
+  std::size_t AwaitRoom(Worker& worker, bool droppable);
+  /// Capacity-gated Push of `items` (in order), chunked to the room
+  /// observed so a bounded-retry drop leaves exactly an undelivered
+  /// suffix. The drop is counted per shard and any suffix tokens
+  /// (carried inside the items) complete with the drop status, which is
+  /// also returned. `*delivered` reports how many leading items were
+  /// pushed.
   Status PushRemote(std::uint32_t shard, std::vector<Item> items,
-                    std::size_t* delivered);
-  void RecordDrop(std::uint32_t shard, std::uint64_t count,
-                  const Status& status);
+                    bool droppable, bool batched, std::size_t* delivered);
+  /// Capacity-gated, never-dropping delivery of one internal marker.
+  void PushMarker(Item item);
   void WorkerLoop(Worker& worker);
   void ExecuteItem(const Item& item);
   /// ExecuteItem plus latency accounting for tracked (insert/delete)
@@ -432,16 +430,15 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// rebalance enabled): id -> shard, maintained at submit time (deletes
   /// cannot re-derive their shard; migrated ids' hashes are stale).
   /// routing_mu_ — the one producer-side serialization point, and only
-  /// for these modes — covers just the map update plus the per-shard
-  /// ticket grab (tens of ns), NOT the enqueue: the ticket carries the
-  /// map order to the queue, so a backpressure stall on one shard no
-  /// longer serializes every other shard's routing behind it. Order
-  /// proof: routing_mu_ totally orders map updates and stamps each with
-  /// the target shard's next ticket; Enqueue admits a shard's ticketed
-  /// items into the worker's FIFO queue strictly in ticket order; the
-  /// worker executes FIFO. Hence per-shard execution order == ticket
-  /// order == map-update order, which is the invariant that makes the
-  /// map exact.
+  /// for these modes — covers the map update AND the lock-free push of
+  /// the routed items. Order proof: routing_mu_ totally orders map
+  /// updates, each hold pushes its items before releasing, and a shard's
+  /// remote queue hands them to the worker in push order. Hence per-shard
+  /// execution order == map-update order, the invariant that makes the
+  /// map exact. Nothing blocks under the lock (a push is a CAS plus, on
+  /// the empty -> non-empty edge, a brief worker.mu hold — lock order
+  /// routing_mu_ before worker.mu); backpressure is taken after release,
+  /// because MaybeRebalance takes this lock on a worker.
   std::mutex routing_mu_;
   IdPlacementMap placement_;
   bool needs_routing_map_ = false;

@@ -49,10 +49,10 @@ struct ShardStats {
     /// Peak of the shard's reserved footprint over its own op stream
     /// (concurrent facade only; zero elsewhere).
     std::uint64_t peak_reserved_footprint = 0;
-    /// Batched-submission accounting (concurrent facade only): remote
+    /// Batched-submission accounting (concurrent facade only): SubmitMany
     /// batches the owning worker drained from this shard's RemoteQueue,
     /// and how many of the shard's ops arrived inside them (the rest came
-    /// one-by-one through the mutex queue).
+    /// one by one through per-op submission).
     std::uint64_t remote_batches = 0;
     std::uint64_t batched_ops = 0;
     /// Rebalancer accounting: objects (and their bytes) the rebalancer

@@ -12,10 +12,14 @@
 //    concurrently lose nothing: every accepted op executes exactly once.
 //  * Drain/shutdown ordering — Flush retires everything submitted before
 //    it; destruction drains pending queues before joining the workers.
+//  * Ordering across entry points — per-op Submit, SubmitMany and the
+//    Stats marker share one per-shard FIFO, so one producer's ops (and
+//    a Stats() call) never overtake its earlier batches.
 //  * Statuses never vanish: tokens carry per-op results, fire-and-forget
 //    failures are counted per shard.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -395,15 +399,17 @@ TEST(ConcurrentMpsc, SizeClassRoutingSurvivesProducerRaces) {
 }
 
 TEST(ConcurrentMpsc, SizeClassTicketedAdmissionKeepsMapOrderUnderRaces) {
-  // Regression for the routing lock-scope fix: routing_mu_ no longer
-  // spans the enqueue, so map-order == arrival-order now rests on the
-  // per-shard admission tickets. 4 producers churn ids through
-  // alternating size classes — the delete and the next insert usually
-  // target different shards/workers — through a MIX of per-op Submit and
-  // SubmitMany batches, with a tiny queue capacity so admission stalls
-  // mid-route constantly. Any divergence of a shard's arrival order from
-  // the map's update order executes some delete before its insert (or an
-  // insert before the prior delete) and surfaces as failed_ops.
+  // Regression for order by pushing under the lock: map-keeping routing
+  // pushes its routed items onto the shards' remote queues inside the
+  // same routing_mu_ hold as the map update and takes backpressure only
+  // after release, so map-order == arrival-order rests on that one lock
+  // hold. 4 producers churn ids through alternating size classes — the
+  // delete and the next insert usually target different shards/workers —
+  // through a MIX of per-op Submit and SubmitMany batches, with a tiny
+  // queue capacity so producers stall at the in-flight bound constantly.
+  // Any divergence of a shard's arrival order from the map's update order
+  // executes some delete before its insert (or an insert before the prior
+  // delete) and surfaces as failed_ops.
   constexpr std::uint32_t kProducers = 4;
   constexpr std::uint64_t kIdsPerProducer = 300;
 
@@ -430,7 +436,7 @@ TEST(ConcurrentMpsc, SizeClassTicketedAdmissionKeepsMapOrderUnderRaces) {
         const std::uint64_t final_size = 1 + j % 64;
         if (j % 2 == 0) {
           // Batched incarnations: one SubmitMany (one routing_mu_ hold)
-          // stages tickets on several shards at once.
+          // pushes onto several shards at once.
           batch.clear();
           for (const std::uint64_t size : {3ull, 700ull, 65000ull}) {
             batch.push_back(Request::Insert(id, size));
@@ -620,7 +626,9 @@ TEST(ConcurrentDropPolicy, FullQueueDropsAfterBoundedRetriesAndIsCounted) {
   ConcurrentShardedReallocator::Options options;
   options.shard_count = 1;
   options.worker_threads = 1;
-  options.queue_capacity = 1;
+  // The in-flight bound counts the wedged executing op: capacity 2 is one
+  // executing plus one queued.
+  options.queue_capacity = 2;
   options.submit_max_retries = 2;
   options.submit_retry_backoff = std::chrono::microseconds(100);
   std::unique_ptr<ConcurrentShardedReallocator> concurrent;
@@ -631,14 +639,14 @@ TEST(ConcurrentDropPolicy, FullQueueDropsAfterBoundedRetriesAndIsCounted) {
   concurrent->AddShardListener(0, &stall);
 
   // Op 1 is picked up by the worker and wedges inside the listener; op 2
-  // then fills the (capacity-1) queue.
+  // then fills the in-flight bound.
   ASSERT_TRUE(concurrent->Submit(Request::Insert(1, 8)).ok());
   while (!stall.entered.load(std::memory_order_acquire)) {
     std::this_thread::yield();
   }
   ASSERT_TRUE(concurrent->Submit(Request::Insert(2, 8)).ok());
 
-  // Op 3 finds the queue full, burns its bounded retries, and is dropped.
+  // Op 3 finds no room, burns its bounded retries, and is dropped.
   const Status dropped = concurrent->Submit(Request::Insert(3, 8));
   EXPECT_EQ(dropped.code(), StatusCode::kResourceExhausted);
 
@@ -730,7 +738,7 @@ TEST(ConcurrentDropPolicy, DefaultPolicyIsPureBackpressure) {
   ConcurrentShardedReallocator::Options options;
   options.shard_count = 1;
   options.worker_threads = 1;
-  options.queue_capacity = 1;
+  options.queue_capacity = 2;  // one executing (wedged) plus one queued
   std::unique_ptr<ConcurrentShardedReallocator> concurrent;
   ASSERT_TRUE(
       ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
@@ -757,6 +765,73 @@ TEST(ConcurrentDropPolicy, DefaultPolicyIsPureBackpressure) {
   const ShardStats stats = concurrent->Stats();
   EXPECT_EQ(stats.dropped_ops, 0u);
   EXPECT_EQ(stats.volume, 3u * 8);
+}
+
+// ------------------------------------------- ordering across entry points
+
+TEST(ConcurrentStatus, StatsReflectsBatchesSubmittedBeforeTheCall) {
+  // Stats() promises to reflect every op enqueued before the call. Its
+  // marker must therefore land behind a SubmitMany batch pushed earlier,
+  // even while the worker is wedged mid-drain.
+  ReallocatorSpec spec;
+  spec.algorithm = "first-fit";
+  ConcurrentShardedReallocator::Options options;
+  options.shard_count = 1;
+  options.worker_threads = 1;
+  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
+  ASSERT_TRUE(
+      ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
+
+  StallingListener stall;
+  concurrent->AddShardListener(0, &stall);
+  ASSERT_TRUE(concurrent->SubmitMany({Request::Insert(1, 8)}).ok());
+  while (!stall.entered.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(concurrent->SubmitMany({Request::Insert(2, 8)}).ok());
+
+  ShardStats stats;
+  std::thread reader([&] { stats = concurrent->Stats(); });
+  // Give the reader time to submit its marker behind the wedged worker.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  stall.release.store(true, std::memory_order_release);
+  reader.join();
+
+  ASSERT_EQ(stats.shards.size(), 1u);
+  EXPECT_EQ(stats.shards[0].ops, 2u);
+  EXPECT_EQ(stats.volume, 16u);
+}
+
+TEST(ConcurrentOrdering, PerOpSubmitStaysBehindAnEarlierBatch) {
+  // Per-producer, per-shard FIFO across entry points: a per-op Delete
+  // submitted after a SubmitMany Insert of the same id must execute after
+  // it, with no Flush in between, even when the worker is wedged
+  // mid-drain while both arrive.
+  ReallocatorSpec spec;
+  spec.algorithm = "first-fit";
+  ConcurrentShardedReallocator::Options options;
+  options.shard_count = 1;
+  options.worker_threads = 1;
+  std::unique_ptr<ConcurrentShardedReallocator> concurrent;
+  ASSERT_TRUE(
+      ConcurrentShardedReallocator::Make(spec, options, &concurrent).ok());
+
+  StallingListener stall;
+  concurrent->AddShardListener(0, &stall);
+  ASSERT_TRUE(concurrent->SubmitMany({Request::Insert(1, 8)}).ok());
+  while (!stall.entered.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
+  ASSERT_TRUE(concurrent->SubmitMany({Request::Insert(2, 8)}).ok());
+  ASSERT_TRUE(concurrent->Submit(Request::Delete(2)).ok());
+  stall.release.store(true, std::memory_order_release);
+  concurrent->Flush();
+
+  const ShardStats stats = concurrent->Stats();
+  ASSERT_EQ(stats.shards.size(), 1u);
+  EXPECT_EQ(stats.shards[0].failed_ops, 0u);
+  EXPECT_EQ(stats.shards[0].ops, 3u);
+  EXPECT_EQ(stats.volume, 8u);  // id 1 live, id 2 inserted then deleted
 }
 
 // --------------------------------------------------- durability integration

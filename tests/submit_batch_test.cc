@@ -1,12 +1,12 @@
 // SubmitMany / OpBuffer — the batched submission path, proven against
 // its oracles:
 //
-//  * Differential grid (K x W x routing): one trace driven through the
-//    batched path must land in exactly the per-shard stats the
-//    mutex-queue oracle (Options::submit_path = kMutexQueue) and the
-//    single-threaded ShardedReallocator produce. At W=1 the guarantee
-//    sharpens to per-shard *event-sequence* equality — op-for-op, the
-//    lock-free path changes nothing.
+//  * Differential grid (K x W x routing): one trace driven through
+//    SubmitMany batches must land in exactly the per-shard stats that the
+//    same trace driven op by op through Submit and the single-threaded
+//    ShardedReallocator produce. At W=1 the guarantee sharpens to
+//    per-shard *event-sequence* equality — op-for-op, batching changes
+//    nothing.
 //  * Multi-producer OpBuffers: K producers batching through thread-local
 //    buffers lose nothing — every op executes exactly once, per-shard
 //    conservation totals hold.
@@ -75,14 +75,13 @@ class EventRecorder : public SpaceListener {
 
 std::unique_ptr<ConcurrentShardedReallocator> MakeFacade(
     std::uint32_t shard_count, std::uint32_t worker_threads,
-    RoutingPolicy routing, SubmitPath path) {
+    RoutingPolicy routing) {
   ReallocatorSpec spec;
   spec.algorithm = "cost-oblivious";
   ConcurrentShardedReallocator::Options options;
   options.shard_count = shard_count;
   options.worker_threads = worker_threads;
   options.routing = routing;
-  options.submit_path = path;
   std::unique_ptr<ConcurrentShardedReallocator> facade;
   EXPECT_TRUE(ConcurrentShardedReallocator::Make(spec, options, &facade).ok());
   return facade;
@@ -99,6 +98,14 @@ void DriveBatches(ConcurrentShardedReallocator* facade, const Trace& trace) {
     std::size_t accepted = 0;
     ASSERT_TRUE(facade->SubmitMany(requests.data() + i, n, &accepted).ok());
     ASSERT_EQ(accepted, n);
+  }
+  facade->Quiesce();
+}
+
+/// The per-op oracle: the same trace, one Submit per op, then drains.
+void DriveOps(ConcurrentShardedReallocator* facade, const Trace& trace) {
+  for (const Request& request : trace.requests()) {
+    ASSERT_TRUE(facade->Submit(request).ok());
   }
   facade->Quiesce();
 }
@@ -144,12 +151,12 @@ void ExpectShardStatsEqual(const ShardStats& actual,
   EXPECT_EQ(actual.dropped_ops, 0u);
 }
 
-/// The differential: batched vs mutex-queue oracle vs sequential facade,
-/// one configuration. At W=1 both concurrent runs also record per-shard
+/// The differential: batched vs per-op oracle vs sequential facade, one
+/// configuration. At W=1 both concurrent runs also record per-shard
 /// event streams, which must agree event-for-event (the op-for-op
 /// identity); at W>1 inter-shard interleaving varies but every per-shard
 /// outcome is pinned by the stats equality above (a single producer's
-/// per-shard op order is deterministic on both paths).
+/// per-shard op order is deterministic either way).
 void RunBatchDifferential(std::uint32_t shard_count,
                           std::uint32_t worker_threads, RoutingPolicy routing,
                           std::uint64_t seed) {
@@ -159,12 +166,8 @@ void RunBatchDifferential(std::uint32_t shard_count,
   const Trace trace = TestTrace(seed);
   const ShardStats expected = SequentialReplay(shard_count, routing, trace);
 
-  auto batched = MakeFacade(shard_count, worker_threads, routing,
-                            SubmitPath::kRemoteBatched);
-  auto oracle = MakeFacade(shard_count, worker_threads, routing,
-                           SubmitPath::kMutexQueue);
-  ASSERT_EQ(batched->submit_path(), SubmitPath::kRemoteBatched);
-  ASSERT_EQ(oracle->submit_path(), SubmitPath::kMutexQueue);
+  auto batched = MakeFacade(shard_count, worker_threads, routing);
+  auto oracle = MakeFacade(shard_count, worker_threads, routing);
 
   const bool record_events = worker_threads == 1;
   std::vector<std::unique_ptr<EventRecorder>> batched_events, oracle_events;
@@ -178,7 +181,7 @@ void RunBatchDifferential(std::uint32_t shard_count,
   }
 
   DriveBatches(batched.get(), trace);
-  DriveBatches(oracle.get(), trace);
+  DriveOps(oracle.get(), trace);
 
   const ShardStats batched_stats = batched->Stats();
   const ShardStats oracle_stats = oracle->Stats();
@@ -197,18 +200,13 @@ void RunBatchDifferential(std::uint32_t shard_count,
               oracle->shard_space(i).Snapshot());
   }
 
-  // The batched facade actually used the remote path (hash routing; the
-  // size-class batched path amortizes the routing lock but still rides
-  // the ticketed mutex queue, so its remote counters stay zero).
+  // Every batched op was counted as a remote-batch delivery, on every
+  // routing policy; the per-op facade's deliveries count as none.
   std::uint64_t remote_ops = 0;
   for (const ShardStats::PerShard& shard : batched_stats.shards) {
     remote_ops += shard.batched_ops;
   }
-  if (routing == RoutingPolicy::kHashId) {
-    EXPECT_EQ(remote_ops, trace.requests().size());
-  } else {
-    EXPECT_EQ(remote_ops, 0u);
-  }
+  EXPECT_EQ(remote_ops, trace.requests().size());
   for (const ShardStats::PerShard& shard : oracle_stats.shards) {
     EXPECT_EQ(shard.remote_batches, 0u);
     EXPECT_EQ(shard.batched_ops, 0u);
