@@ -67,9 +67,17 @@ inline void Banner(const char* experiment, const char* claim) {
   std::printf("================================================================\n");
 }
 
+/// Set once any Verdict in this process reports a DEVIATION.
+inline bool any_deviation = false;
+
 inline void Verdict(bool ok, const std::string& text) {
   std::printf("verdict: %s — %s\n", ok ? "REPRODUCED" : "DEVIATION", text.c_str());
+  if (!ok) any_deviation = true;
 }
+
+/// Process exit status for a paper reproduction: nonzero when any of its
+/// verdicts was a DEVIATION, so scripts and CI fail on it.
+inline int VerdictExitCode() { return any_deviation ? 1 : 0; }
 
 }  // namespace cosr::bench
 

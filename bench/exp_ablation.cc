@@ -106,5 +106,5 @@ int main() {
                       "and Lemma 3.4's drain guarantee");
   cosr::BufferSpillAblation();
   cosr::WorkFactorAblation();
-  return 0;
+  return cosr::bench::VerdictExitCode();
 }

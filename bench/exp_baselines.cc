@@ -105,5 +105,5 @@ int main() {
                       "for linear f");
   cosr::LoggingSide();
   cosr::SizeClassSide();
-  return 0;
+  return cosr::bench::VerdictExitCode();
 }

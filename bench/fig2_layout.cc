@@ -41,7 +41,7 @@ void Run() {
                   std::to_string(r.payload_capacity),
                   std::to_string(r.buffer_capacity),
                   std::to_string(r.buffer_used),
-                  std::to_string(r.payload_objects.size())});
+                  std::to_string(r.payload_count())});
   }
   table.Print();
   bench::Verdict(realloc.CheckInvariants().ok(),
@@ -53,5 +53,5 @@ void Run() {
 
 int main() {
   cosr::Run();
-  return 0;
+  return cosr::bench::VerdictExitCode();
 }

@@ -42,11 +42,12 @@ Status CheckpointedReallocator::Insert(ObjectId id, std::uint64_t size) {
   const std::uint64_t structure_end = reserved_footprint();
   space_->Place(id, Extent{structure_end, size});
   Region& last = regions_.back();
+  objects_.emplace(id, ObjectInfo{size, cls, /*in_buffer=*/true,
+                                  max_size_class(),
+                                  NextSlot(last.buffer_entries)});
   last.buffer_entries.push_back(BufferEntry{id, size, cls});
   last.buffer_used += size;
   last.min_buffer_class = std::min(last.min_buffer_class, cls);
-  objects_.emplace(id,
-                   ObjectInfo{size, cls, /*in_buffer=*/true, max_size_class()});
   NoteTempFootprint(structure_end + size);
 
   FlushWithCheckpoints(ComputeBoundary(cls), size, structure_end);
@@ -66,17 +67,11 @@ Status CheckpointedReallocator::Delete(ObjectId id) {
 
   Region& home = regions_[static_cast<std::size_t>(info.region)];
   if (info.in_buffer) {
-    for (BufferEntry& entry : home.buffer_entries) {
-      if (entry.id == id) {
-        entry.id = kInvalidObjectId;
-        return Status::Ok();
-      }
-    }
-    COSR_CHECK_MSG(false,
-                   "buffer entry missing for object " + std::to_string(id));
+    MakeDummyRecord(home.buffer_entries, id, info.slot);
+    return Status::Ok();
   }
 
-  ErasePayloadObject(home, id, info.size);
+  ErasePayloadObject(home, id, info);
 
   if (TryBufferDummy(info.size, info.size_class)) return Status::Ok();
 
@@ -144,6 +139,7 @@ void CheckpointedReallocator::FlushWithCheckpoints(
   NoteTempFootprint(overflow);
   space_->Checkpoint();
   Notify(FlushEvent::Stage::kBuffersEvacuated, boundary);
+  CompactPayloads(boundary, maxc);
 
   // Step B: pack payloads rightward, largest class first, so that the last
   // object ends at work_area. Every move shifts right by at least B + ∆,
@@ -223,10 +219,10 @@ void CheckpointedReallocator::FlushWithCheckpoints(
     std::uint64_t cursor = final_start[idx] + r.payload_live;
     for (const auto& [id, size] : overflow_by_class[idx]) {
       PlanMove(id, Extent{cursor, size});
-      AppendPayloadObject(r, id, size);
       ObjectInfo& info = objects_.at(id);
       info.in_buffer = false;
       info.region = i;
+      info.slot = AppendPayloadObject(r, id, size);
       cursor += size;
     }
     r.payload_start = final_start[idx];

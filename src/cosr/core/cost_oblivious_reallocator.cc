@@ -86,21 +86,13 @@ Status CostObliviousReallocator::DeleteImpl(ObjectId id, bool extract,
 
   Region& home = regions_[static_cast<std::size_t>(info.region)];
   if (info.in_buffer) {
-    // The object's own buffer entry becomes the dummy delete record: its
-    // space stays consumed until the next flush.
-    for (BufferEntry& entry : home.buffer_entries) {
-      if (entry.id == id) {
-        entry.id = kInvalidObjectId;
-        return Status::Ok();
-      }
-    }
-    COSR_CHECK_MSG(false,
-                   "buffer entry missing for object " + std::to_string(id));
+    MakeDummyRecord(home.buffer_entries, id, info.slot);
+    return Status::Ok();
   }
 
   // Payload object: leave a hole, then add a dummy delete record consuming
   // `size` space in the earliest buffer j >= class with room.
-  ErasePayloadObject(home, id, info.size);
+  ErasePayloadObject(home, id, info);
 
   if (TryBufferDummy(info.size, info.size_class)) return Status::Ok();
 
@@ -156,6 +148,7 @@ void CostObliviousReallocator::Flush(int boundary, const Pending& pending) {
   FlushPlannedMoves();
   NoteTempFootprint(overflow);
   Notify(FlushEvent::Stage::kBuffersEvacuated, boundary);
+  CompactPayloads(boundary, maxc);
 
   // Step 2: compact payloads left (smallest class first), removing holes.
   std::uint64_t pack = start;
@@ -210,10 +203,10 @@ void CostObliviousReallocator::Flush(int boundary, const Pending& pending) {
     std::uint64_t cursor = final_start[idx] + r.payload_live;
     for (const auto& [id, size] : overflow_by_class[idx]) {
       PlanMove(id, Extent{cursor, size});
-      AppendPayloadObject(r, id, size);
       ObjectInfo& info = objects_.at(id);
       info.in_buffer = false;
       info.region = i;
+      info.slot = AppendPayloadObject(r, id, size);
       cursor += size;
     }
     r.payload_start = final_start[idx];
@@ -231,10 +224,12 @@ void CostObliviousReallocator::Flush(int boundary, const Pending& pending) {
     PlaceOrMove(pending.id, Extent{r.payload_start + r.payload_live,
                                    pending.size},
                 pending.already_placed);
-    AppendPayloadObject(r, pending.id, pending.size);
+    const std::uint32_t slot = AppendPayloadObject(r, pending.id,
+                                                   pending.size);
     objects_.emplace(pending.id,
                      ObjectInfo{pending.size, pending.size_class,
-                                /*in_buffer=*/false, pending.size_class});
+                                /*in_buffer=*/false, pending.size_class,
+                                slot});
   }
   Notify(FlushEvent::Stage::kEnd, boundary);
 }

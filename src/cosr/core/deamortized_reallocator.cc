@@ -86,10 +86,11 @@ void DeamortizedReallocator::TailInsert(ObjectId id, std::uint64_t size,
   const std::uint64_t offset = TailStart() + tail_used_;
   PlaceOrMove(id, Extent{offset, size}, already_placed);
   NoteTempFootprint(offset + size);
+  objects_[id] = ObjectInfo{size, cls, /*in_buffer=*/true, kTailRegion,
+                            NextSlot(tail_entries_)};
   tail_entries_.push_back(BufferEntry{id, size, cls});
   tail_used_ += size;
   tail_min_class_ = std::min(tail_min_class_, cls);
-  objects_[id] = ObjectInfo{size, cls, /*in_buffer=*/true, kTailRegion};
   if (tail_used_ >= tail_capacity_) {
     if (active_) {
       retrigger_ = true;  // drain in progress; flush again right after
@@ -133,29 +134,16 @@ void DeamortizedReallocator::ApplyDelete(ObjectId id) {
   space_->Remove(id);
 
   if (info.region == kTailRegion) {
-    for (BufferEntry& entry : tail_entries_) {
-      if (entry.id == id) {
-        entry.id = kInvalidObjectId;  // dummy record; space stays consumed
-        return;
-      }
-    }
-    COSR_CHECK_MSG(false, "tail entry missing for object " +
-                              std::to_string(id));
+    MakeDummyRecord(tail_entries_, id, info.slot);
+    return;
   }
+  Region& home = regions_[static_cast<std::size_t>(info.region)];
   if (info.in_buffer) {
-    Region& home = regions_[static_cast<std::size_t>(info.region)];
-    for (BufferEntry& entry : home.buffer_entries) {
-      if (entry.id == id) {
-        entry.id = kInvalidObjectId;
-        return;
-      }
-    }
-    COSR_CHECK_MSG(false, "buffer entry missing for object " +
-                              std::to_string(id));
+    MakeDummyRecord(home.buffer_entries, id, info.slot);
+    return;
   }
 
-  Region& home = regions_[static_cast<std::size_t>(info.region)];
-  ErasePayloadObject(home, id, info.size);
+  ErasePayloadObject(home, id, info);
 
   if (TryBufferDummy(info.size, info.size_class)) return;
   if (tail_used_ + info.size <= tail_capacity_) {
@@ -256,6 +244,8 @@ void DeamortizedReallocator::BeginFlush(int trigger_class) {
   tail_entries_.clear();
   tail_min_class_ = std::numeric_limits<int>::max();
   // tail_used_/tail_capacity_ stay until install (footprint accounting).
+
+  CompactPayloads(b, maxc);
 
   // Stage B: pack payloads rightward ending at work_area (largest class
   // first, descending offsets).
@@ -394,7 +384,7 @@ void DeamortizedReallocator::InstallMetadata() {
     r.buffer_capacity = plan.buffer_capacity;
     for (ObjectId id : plan.arrivals) {
       ObjectInfo& info = objects_.at(id);
-      AppendPayloadObject(r, id, info.size);
+      info.slot = AppendPayloadObject(r, id, info.size);
       info.in_buffer = false;
       info.region = i;
     }
@@ -456,7 +446,8 @@ Status DeamortizedReallocator::CheckInvariants() const {
   // Tail buffer accounting.
   std::uint64_t tail_used = 0;
   std::uint64_t cursor = TailStart();
-  for (const BufferEntry& entry : tail_entries_) {
+  for (std::size_t k = 0; k < tail_entries_.size(); ++k) {
+    const BufferEntry& entry = tail_entries_[k];
     if (entry.live()) {
       auto it = objects_.find(entry.id);
       if (it == objects_.end()) {
@@ -466,6 +457,9 @@ Status DeamortizedReallocator::CheckInvariants() const {
       if (!info.in_buffer || info.region != kTailRegion ||
           info.size != entry.size) {
         return Status::Internal("tail object misfiled");
+      }
+      if (info.slot != k) {
+        return StaleSlot("tail object", entry.id, info.slot, k);
       }
       const Extent& e = space_->extent_of(entry.id);
       if (e.offset != cursor || e.length != entry.size) {

@@ -1,6 +1,7 @@
 #ifndef COSR_CORE_LAYOUT_H_
 #define COSR_CORE_LAYOUT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -34,14 +35,26 @@ struct Region {
   /// drives the boundary-class computation for flushes.
   int min_buffer_class = std::numeric_limits<int>::max();
 
-  /// Live payload objects in ascending offset order (holes from deletions
-  /// are implicit).
+  /// Payload objects in ascending offset order. A delete overwrites the
+  /// object's entry with a kInvalidObjectId tombstone (O(1) via the slot
+  /// kept in SizeClassLayout::ObjectInfo); the region's next flush removes
+  /// the tombstones before repacking. The list grows only when the region is
+  /// created or flushed, so it never exceeds its length at that point.
   std::vector<ObjectId> payload_objects;
+  /// Number of tombstones in payload_objects.
+  std::size_t payload_holes = 0;
+  /// Append-only until ResetBuffer, so an entry's index stays valid; a
+  /// delete turns the object's own entry into its dummy record.
   std::vector<BufferEntry> buffer_entries;
-  /// Sum of payload_objects' sizes, maintained incrementally (via
+  /// Sum of the live payload objects' sizes, maintained incrementally (via
   /// SizeClassLayout::AppendPayloadObject / ErasePayloadObject) so flushes
   /// never re-derive the live payload volume by walking the object table.
   std::uint64_t payload_live = 0;
+
+  /// Live payload objects (payload_objects minus tombstones).
+  std::size_t payload_count() const {
+    return payload_objects.size() - payload_holes;
+  }
 
   std::uint64_t buffer_start() const {
     return payload_start + payload_capacity;

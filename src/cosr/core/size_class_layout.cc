@@ -1,6 +1,7 @@
 #include "cosr/core/size_class_layout.h"
 
 #include <algorithm>
+#include <string>
 
 #include "cosr/common/check.h"
 #include "cosr/common/math_util.h"
@@ -63,12 +64,39 @@ void SizeClassLayout::NoteTempFootprint(std::uint64_t end) {
 }
 
 void SizeClassLayout::ErasePayloadObject(Region& region, ObjectId id,
-                                         std::uint64_t size) {
-  auto pos = std::find(region.payload_objects.begin(),
-                       region.payload_objects.end(), id);
-  COSR_CHECK(pos != region.payload_objects.end());
-  region.payload_objects.erase(pos);
-  region.payload_live -= size;
+                                         const ObjectInfo& info) {
+  COSR_CHECK_MSG(info.slot < region.payload_objects.size() &&
+                     region.payload_objects[info.slot] == id,
+                 "stale payload slot for object " + std::to_string(id));
+  region.payload_objects[info.slot] = kInvalidObjectId;
+  ++region.payload_holes;
+  region.payload_live -= info.size;
+}
+
+void SizeClassLayout::MakeDummyRecord(std::vector<BufferEntry>& entries,
+                                      ObjectId id, std::uint32_t slot) {
+  COSR_CHECK_MSG(slot < entries.size() && entries[slot].id == id,
+                 "stale buffer slot for object " + std::to_string(id));
+  entries[slot].id = kInvalidObjectId;
+}
+
+void SizeClassLayout::CompactPayloads(int from, int to) {
+  for (int i = from; i <= to; ++i) {
+    Region& r = regions_[static_cast<std::size_t>(i)];
+    if (r.payload_holes == 0) continue;
+    std::vector<ObjectId>& ids = r.payload_objects;
+    std::size_t kept = 0;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      if (ids[k] == kInvalidObjectId) continue;
+      if (kept != k) {
+        ids[kept] = ids[k];
+        objects_.at(ids[k]).slot = static_cast<std::uint32_t>(kept);
+      }
+      ++kept;
+    }
+    ids.resize(kept);
+    r.payload_holes = 0;
+  }
 }
 
 bool SizeClassLayout::TryBufferInsert(ObjectId id, std::uint64_t size,
@@ -78,10 +106,11 @@ bool SizeClassLayout::TryBufferInsert(ObjectId id, std::uint64_t size,
     if (r.buffer_free() < size) continue;
     const std::uint64_t offset = r.buffer_start() + r.buffer_used;
     PlaceOrMove(id, Extent{offset, size}, already_placed);
+    objects_.emplace(id, ObjectInfo{size, cls, /*in_buffer=*/true, j,
+                                    NextSlot(r.buffer_entries)});
     r.buffer_entries.push_back(BufferEntry{id, size, cls});
     r.buffer_used += size;
     r.min_buffer_class = std::min(r.min_buffer_class, cls);
-    objects_.emplace(id, ObjectInfo{size, cls, /*in_buffer=*/true, j});
     return true;
   }
   return false;
@@ -112,10 +141,10 @@ void SizeClassLayout::CreateNewLargestClass(ObjectId id, std::uint64_t size,
   r.payload_capacity = size;
   r.buffer_capacity = FloorScale(epsilon_, size);
   PlaceOrMove(id, Extent{r.payload_start, size}, already_placed);
-  AppendPayloadObject(r, id, size);
+  const std::uint32_t slot = AppendPayloadObject(r, id, size);
   volumes_.back() = size;
   total_volume_ += size;
-  objects_.emplace(id, ObjectInfo{size, cls, /*in_buffer=*/false, cls});
+  objects_.emplace(id, ObjectInfo{size, cls, /*in_buffer=*/false, cls, slot});
   NoteTempFootprint(reserved_footprint());
 }
 
@@ -152,6 +181,13 @@ Status SizeClassLayout::CheckInvariants() const {
   return Status::Ok();
 }
 
+Status SizeClassLayout::StaleSlot(const char* what, ObjectId id,
+                                  std::uint32_t slot, std::size_t index) {
+  return Status::Internal(std::string(what) + " " + std::to_string(id) +
+                          " has slot " + std::to_string(slot) +
+                          " but sits at index " + std::to_string(index));
+}
+
 Status SizeClassLayout::CheckRegions(std::vector<std::uint64_t>& class_volume,
                                      std::uint64_t& total,
                                      std::size_t& object_count) const {
@@ -166,10 +202,17 @@ Status SizeClassLayout::CheckRegions(std::vector<std::uint64_t>& class_volume,
   }
   for (int i = 1; i <= max_size_class(); ++i) {
     const Region& r = regions_[static_cast<std::size_t>(i)];
-    // Payload objects: class i only (Invariant 2.3), in bounds, ascending.
+    // Payload objects: class i only (Invariant 2.3), in bounds, ascending;
+    // tombstones (deleted since the region's last flush) are only counted.
     std::uint64_t prev_end = r.payload_start;
     std::uint64_t payload_sum = 0;
-    for (ObjectId id : r.payload_objects) {
+    std::size_t tombstones = 0;
+    for (std::size_t k = 0; k < r.payload_objects.size(); ++k) {
+      const ObjectId id = r.payload_objects[k];
+      if (id == kInvalidObjectId) {
+        ++tombstones;
+        continue;
+      }
       auto it = objects_.find(id);
       if (it == objects_.end()) {
         return Status::Internal("payload object without bookkeeping");
@@ -178,6 +221,9 @@ Status SizeClassLayout::CheckRegions(std::vector<std::uint64_t>& class_volume,
       if (info.size_class != i || info.in_buffer || info.region != i) {
         return Status::Internal("payload object misfiled in region " +
                                 std::to_string(i));
+      }
+      if (info.slot != k) {
+        return StaleSlot("payload object", id, info.slot, k);
       }
       const Extent& e = space_->extent_of(id);
       if (e.length != info.size || SizeClassOf(info.size) != i) {
@@ -196,10 +242,17 @@ Status SizeClassLayout::CheckRegions(std::vector<std::uint64_t>& class_volume,
       return Status::Internal("payload_live accounting mismatch in region " +
                               std::to_string(i));
     }
+    if (tombstones != r.payload_holes) {
+      return Status::Internal(
+          "region " + std::to_string(i) + " counts " +
+          std::to_string(r.payload_holes) + " payload holes but holds " +
+          std::to_string(tombstones) + " tombstones");
+    }
     // Buffer entries: classes <= i (Invariant 2.2(4)), packed in order.
     std::uint64_t used = 0;
     std::uint64_t cursor = r.buffer_start();
-    for (const BufferEntry& entry : r.buffer_entries) {
+    for (std::size_t k = 0; k < r.buffer_entries.size(); ++k) {
+      const BufferEntry& entry = r.buffer_entries[k];
       if (entry.size_class > i) {
         return Status::Internal("buffer entry of class " +
                                 std::to_string(entry.size_class) +
@@ -214,6 +267,9 @@ Status SizeClassLayout::CheckRegions(std::vector<std::uint64_t>& class_volume,
         if (!info.in_buffer || info.region != i ||
             info.size != entry.size || info.size_class != entry.size_class) {
           return Status::Internal("buffered object misfiled");
+        }
+        if (info.slot != k) {
+          return StaleSlot("buffered object", entry.id, info.slot, k);
         }
         const Extent& e = space_->extent_of(entry.id);
         if (e.offset != cursor || e.length != entry.size) {

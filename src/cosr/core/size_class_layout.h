@@ -5,6 +5,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "cosr/common/check.h"
 #include "cosr/core/flush_listener.h"
 #include "cosr/core/layout.h"
 #include "cosr/realloc/reallocator.h"
@@ -56,7 +57,13 @@ class SizeClassLayout : public Reallocator {
     int size_class = 0;
     bool in_buffer = false;
     int region = 0;  // region index where the object currently lives
+    /// Index of the object's entry in its container (the region's
+    /// payload_objects or buffer_entries, or the deamortized tail), so a
+    /// delete reaches that entry in O(1).
+    std::uint32_t slot = 0;
   };
+  // The slot sits in what was the struct's tail padding.
+  static_assert(sizeof(ObjectInfo) == 24, "ObjectInfo grew");
 
   SizeClassLayout(Space* space, double epsilon);
 
@@ -98,15 +105,35 @@ class SizeClassLayout : public Reallocator {
   }
   void FlushPlannedMoves();
 
+  /// The slot the next entry appended to `entries` will occupy.
+  template <typename Entry>
+  static std::uint32_t NextSlot(const std::vector<Entry>& entries) {
+    COSR_CHECK_LT(entries.size(), UINT32_MAX);
+    return static_cast<std::uint32_t>(entries.size());
+  }
+
   /// Payload membership changes route through these so Region::payload_live
-  /// stays exact without per-flush re-derivation.
-  static void AppendPayloadObject(Region& region, ObjectId id,
-                                  std::uint64_t size) {
+  /// and Region::payload_holes stay exact without per-flush re-derivation.
+  /// AppendPayloadObject returns the new entry's slot; ErasePayloadObject
+  /// leaves a tombstone at `info.slot`.
+  static std::uint32_t AppendPayloadObject(Region& region, ObjectId id,
+                                           std::uint64_t size) {
+    const std::uint32_t slot = NextSlot(region.payload_objects);
     region.payload_objects.push_back(id);
     region.payload_live += size;
+    return slot;
   }
   static void ErasePayloadObject(Region& region, ObjectId id,
-                                 std::uint64_t size);
+                                 const ObjectInfo& info);
+  /// Turns `id`'s own entry at `slot` of a buffer (or the deamortized tail)
+  /// into its dummy delete record: its space stays consumed until the next
+  /// flush.
+  static void MakeDummyRecord(std::vector<BufferEntry>& entries, ObjectId id,
+                              std::uint32_t slot);
+  /// Drops the tombstones from the payload lists of regions [from, to] and
+  /// re-points the slots of the objects that shift. Every flush calls it
+  /// for its suffix before the pack/unpack pass walks those lists.
+  void CompactPayloads(int from, int to);
   void Notify(FlushEvent::Stage stage, int boundary);
   void NoteTempFootprint(std::uint64_t end);
 
@@ -115,6 +142,10 @@ class SizeClassLayout : public Reallocator {
   /// checks (which differ between variants).
   Status CheckRegions(std::vector<std::uint64_t>& class_volume,
                       std::uint64_t& total, std::size_t& count) const;
+  /// The CheckRegions failure for an object whose stored slot does not
+  /// point at its own entry.
+  static Status StaleSlot(const char* what, ObjectId id, std::uint32_t slot,
+                          std::size_t index);
 
   Space* space_;
   double epsilon_;
