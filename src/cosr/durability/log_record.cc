@@ -159,15 +159,19 @@ LogParseResult CheckRecordFrame(const std::uint8_t* data, std::size_t size,
 
 LogParseResult ParseLogRecord(const std::uint8_t* data, std::size_t size,
                               std::size_t* offset, LogRecord* record) {
-  const std::size_t start = *offset;
   std::uint32_t payload = 0;
-  const LogParseResult frame = CheckRecordFrame(data, size, start, &payload);
+  const LogParseResult frame = CheckRecordFrame(data, size, *offset, &payload);
   if (frame != LogParseResult::kOk) return frame;
-  const std::uint8_t type_byte = data[start];
-  const std::size_t body_end = start + kLogRecordHeaderBytes + payload;
+  DecodeLogRecord(data, offset, record);
+  return LogParseResult::kOk;
+}
 
+void DecodeLogRecord(const std::uint8_t* data, std::size_t* offset,
+                     LogRecord* record) {
+  const std::size_t start = *offset;
+  const std::uint32_t payload = GetU32(data + start + 1);
   const std::uint8_t* p = data + start + kLogRecordHeaderBytes;
-  record->type = static_cast<LogRecordType>(type_byte);
+  record->type = static_cast<LogRecordType>(data[start]);
   record->moves.clear();
   switch (record->type) {
     case LogRecordType::kPlace:
@@ -192,8 +196,7 @@ LogParseResult ParseLogRecord(const std::uint8_t* data, std::size_t size,
       record->checkpoint_seq = GetU64(p);
       break;
   }
-  *offset = body_end + 4;
-  return LogParseResult::kOk;
+  *offset = start + kLogRecordHeaderBytes + payload + 4;
 }
 
 LogParseResult SkimLogRecord(const std::uint8_t* data, std::size_t size,

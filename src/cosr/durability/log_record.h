@@ -86,6 +86,14 @@ LogParseResult SkimLogRecord(const std::uint8_t* data, std::size_t size,
                              std::size_t* offset, LogRecordType* type,
                              std::uint64_t* checkpoint_seq);
 
+/// Decodes the record at `*offset` and advances `*offset` past it, with no
+/// framing, checksum or shape checks: only for a record that ParseLogRecord
+/// or SkimLogRecord has already accepted at that offset of the same bytes.
+/// Recovery's pass 2 replays its pass-1-validated prefix through this, so
+/// each record's checksum is computed once.
+void DecodeLogRecord(const std::uint8_t* data, std::size_t* offset,
+                     LogRecord* record);
+
 }  // namespace cosr
 
 #endif  // COSR_DURABILITY_LOG_RECORD_H_

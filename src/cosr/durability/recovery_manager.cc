@@ -121,18 +121,13 @@ Status RecoveryManager::Recover(const std::uint8_t* data, std::size_t size,
   result->records_discarded = records_seen - records_to_frontier;
   result->bytes_discarded = size - frontier;
 
-  // Pass 2: replay the prefix up to the frontier.
+  // Pass 2: replay the prefix up to the frontier. Pass 1 accepted every
+  // record in it, so they are decoded without a second validation.
   LogRecord record;
   std::vector<MovePlan> plans;
   offset = 0;
   while (offset < frontier) {
-    const LogParseResult parse =
-        ParseLogRecord(data, frontier, &offset, &record);
-    if (parse != LogParseResult::kOk) {
-      return Status::Internal(
-          "log replay: prefix reparse failed at offset " +
-          std::to_string(offset));
-    }
+    DecodeLogRecord(data, &offset, &record);
     const Status status = ReplayRecord(record, space, &plans);
     if (!status.ok()) {
       return Status::Internal(status.message() + " (record " +

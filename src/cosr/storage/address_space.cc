@@ -191,6 +191,13 @@ void AddressSpace::CheckBatchAgainstFrozen() {
 
 // ----------------------------------------------------------- kFlat engine
 
+void AddressSpace::DenseSlots::GrowTo(std::size_t size) {
+  while ((pages_.size() << kPageBits) < size) {
+    pages_.push_back(std::make_unique<Extent[]>(kPageMask + 1));
+  }
+  size_ = std::max(size_, size);
+}
+
 Extent* AddressSpace::FlatSlotFor(ObjectId id) {
   if (id < slots_.size() && slots_[id].length != 0) return &slots_[id];
   if (!flat_overflow_.empty()) {
@@ -225,7 +232,7 @@ bool AddressSpace::FlatTryPlace(ObjectId id, const Extent& extent) {
     slot = &slots_[id];
   } else if (FlatDenseEligible(id)) {
     if (!flat_overflow_.empty() && flat_overflow_.count(id) > 0) return false;
-    slots_.resize(id + 1);
+    slots_.GrowTo(id + 1);
     slot = &slots_[id];
   } else {
     const auto [it, inserted] = flat_overflow_.try_emplace(id, Extent{});
@@ -319,8 +326,8 @@ void AddressSpace::FlatApplyMoves(const MovePlan* plans, std::size_t count) {
 bool AddressSpace::FlatSelfCheck() const {
   if (index_.size() != flat_count_) return false;
   std::size_t dense = 0;
-  for (const Extent& slot : slots_) {
-    if (slot.length != 0) ++dense;
+  for (std::size_t id = 0; id < slots_.size(); ++id) {
+    if (slots_[id].length != 0) ++dense;
   }
   if (dense + flat_overflow_.size() != flat_count_) return false;
   std::uint64_t volume = 0;

@@ -3,8 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -130,7 +130,8 @@ class AddressSpace final : public Space {
  private:
   // ---------------------------------------------------------- kFlat engine
   /// Mutable slot of a placed object, or nullptr. Dense ids resolve with
-  /// one deque probe; the overflow map is consulted only when non-empty.
+  /// one page-table probe; the overflow map is consulted only when
+  /// non-empty.
   Extent* FlatSlotFor(ObjectId id);
   const Extent* FlatSlotFor(ObjectId id) const;
 
@@ -167,14 +168,37 @@ class AddressSpace final : public Space {
 
   static constexpr std::size_t kDenseFloor = 4096;
 
+  /// The dense id-indexed slot table of the kFlat engine, in fixed-size
+  /// pages behind a small page array: a slot is one load past that array
+  /// (a std::deque needs two dependent loads), and slots never move as the
+  /// table grows, so FlatSlotFor's pointers survive growth.
+  class DenseSlots {
+   public:
+    std::size_t size() const { return size_; }
+    Extent& operator[](std::size_t id) {
+      return pages_[id >> kPageBits][id & kPageMask];
+    }
+    const Extent& operator[](std::size_t id) const {
+      return pages_[id >> kPageBits][id & kPageMask];
+    }
+    /// Covers ids below `size` (never shrinks); new slots are empty.
+    void GrowTo(std::size_t size);
+
+   private:
+    static constexpr unsigned kPageBits = 10;  // 1024 slots, 16 KiB a page
+    static constexpr std::size_t kPageMask =
+        (std::size_t{1} << kPageBits) - 1;
+    std::vector<std::unique_ptr<Extent[]>> pages_;
+    std::size_t size_ = 0;
+  };
+
   Engine engine_;
   CheckpointManager* checkpoints_;
   std::vector<SpaceListener*> listeners_;
   std::uint64_t live_volume_ = 0;
 
-  // kFlat engine state. A deque keeps references stable while the dense
-  // table grows at the back (extent_of hands out references).
-  std::deque<Extent> slots_;  // length == 0 means the slot is empty
+  // kFlat engine state.
+  DenseSlots slots_;  // length == 0 means the slot is empty
   std::unordered_map<ObjectId, Extent> flat_overflow_;
   OffsetIndex index_;
   std::size_t flat_count_ = 0;

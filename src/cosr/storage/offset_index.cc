@@ -1,29 +1,53 @@
 #include "cosr/storage/offset_index.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace cosr {
 
+namespace {
+
+/// Number of leading elements of [first, first + n) whose key is below
+/// `value` (or at most `value` when `inclusive`): std::lower_bound /
+/// std::upper_bound over a sorted range, written so the compiler emits a
+/// conditional move per halving step instead of a hard-to-predict branch.
+template <typename T, typename KeyOf>
+std::size_t CountBelow(const T* first, std::size_t n, std::uint64_t value,
+                       bool inclusive, KeyOf key) {
+  if (n == 0) return 0;
+  const T* base = first;
+  while (n > 1) {
+    const std::size_t half = n / 2;
+    const std::uint64_t k = key(base[half]);
+    base = (k < value || (inclusive && k == value)) ? base + half : base;
+    n -= half;
+  }
+  const std::uint64_t k = key(*base);
+  return static_cast<std::size_t>(base - first) +
+         ((k < value || (inclusive && k == value)) ? 1 : 0);
+}
+
+std::uint64_t MinKey(std::uint64_t min) { return min; }
+std::uint64_t EntryKey(const OffsetIndex::Entry& e) { return e.offset; }
+
+}  // namespace
+
 std::size_t OffsetIndex::FindPage(std::uint64_t offset) const {
-  const auto it =
-      std::upper_bound(page_min_.begin(), page_min_.end(), offset);
-  if (it == page_min_.begin()) return 0;
-  return static_cast<std::size_t>(it - page_min_.begin()) - 1;
+  const std::size_t above =
+      CountBelow(page_min_.data(), page_min_.size(), offset, true, MinKey);
+  return above == 0 ? 0 : above - 1;
 }
 
 const OffsetIndex::Entry* OffsetIndex::LastBefore(std::uint64_t limit) const {
   if (pages_.empty()) return nullptr;
   // The candidate page is the last one whose minimum is below `limit`.
-  const auto page_it =
-      std::lower_bound(page_min_.begin(), page_min_.end(), limit);
-  if (page_it == page_min_.begin()) return nullptr;
-  const Page& page =
-      pages_[static_cast<std::size_t>(page_it - page_min_.begin()) - 1];
-  const auto pos = std::lower_bound(
-      page.entries.begin(), page.entries.end(), limit,
-      [](const Entry& e, std::uint64_t value) { return e.offset < value; });
+  const std::size_t pages_below =
+      CountBelow(page_min_.data(), page_min_.size(), limit, false, MinKey);
+  if (pages_below == 0) return nullptr;
+  const Page& page = pages_[pages_below - 1];
+  const std::size_t below = CountBelow(
+      page.entries.data(), page.entries.size(), limit, false, EntryKey);
   // page_min < limit guarantees at least one qualifying entry in the page.
-  return &*std::prev(pos);
+  return &page.entries[below - 1];
 }
 
 OffsetIndex::Neighbors OffsetIndex::Insert(std::uint64_t offset, ObjectId id) {
@@ -38,10 +62,9 @@ OffsetIndex::Neighbors OffsetIndex::Insert(std::uint64_t offset, ObjectId id) {
   }
   const std::size_t p = FindPage(offset);
   Page& page = pages_[p];
-  const auto pos = std::upper_bound(
-      page.entries.begin(), page.entries.end(), offset,
-      [](std::uint64_t value, const Entry& e) { return value < e.offset; });
-  const auto i = static_cast<std::size_t>(pos - page.entries.begin());
+  const std::size_t i = CountBelow(page.entries.data(), page.entries.size(),
+                                   offset, true, EntryKey);
+  const auto pos = page.entries.begin() + static_cast<long>(i);
   if (i > 0) {
     neighbors.pred = page.entries[i - 1];
     neighbors.has_pred = true;
@@ -84,9 +107,10 @@ bool OffsetIndex::Erase(std::uint64_t offset) {
   if (pages_.empty()) return false;
   const std::size_t p = FindPage(offset);
   Page& page = pages_[p];
-  const auto pos = std::lower_bound(
-      page.entries.begin(), page.entries.end(), offset,
-      [](const Entry& e, std::uint64_t value) { return e.offset < value; });
+  const auto pos =
+      page.entries.begin() +
+      static_cast<long>(CountBelow(page.entries.data(), page.entries.size(),
+                                   offset, false, EntryKey));
   if (pos == page.entries.end() || pos->offset != offset) return false;
   const bool was_front = pos == page.entries.begin();
   page.entries.erase(pos);

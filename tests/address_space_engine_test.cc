@@ -165,6 +165,27 @@ TEST(FlatEngineTest, ManyObjectsKeepOrderedQueriesExact) {
   EXPECT_TRUE(space.SelfCheck());
 }
 
+TEST(FlatEngineTest, FootprintInBoundsAreExactAcrossPages) {
+  // Objects at 16-byte strides over many OffsetIndex pages: a range ending
+  // exactly at an object's offset must exclude it, and one starting there
+  // must include it, on both engines.
+  for (const auto engine :
+       {AddressSpace::Engine::kFlat, AddressSpace::Engine::kMap}) {
+    AddressSpace space(engine);
+    constexpr std::uint64_t kCount = 1000;
+    for (std::uint64_t i = 0; i < kCount; ++i) {
+      space.Place(i + 1, Extent{i * 16, 8});
+    }
+    EXPECT_EQ(space.footprint_in(0, 0), 0u);
+    for (std::uint64_t i = 0; i < kCount; ++i) {
+      const std::uint64_t offset = i * 16;
+      ASSERT_EQ(space.footprint_in(0, offset), i == 0 ? 0 : offset - 8);
+      ASSERT_EQ(space.footprint_in(offset, offset + 1), offset + 8);
+      ASSERT_EQ(space.footprint_in(offset + 1, offset + 16), 0u);
+    }
+  }
+}
+
 // ------------------------------------------------------- batch semantics
 
 class BatchRecordingListener : public SpaceListener {

@@ -227,6 +227,52 @@ TEST(LogRecordTest, SkimMatchesParseOnValidAndDamagedStreams) {
   EXPECT_EQ(offset, 0u);
 }
 
+TEST(LogRecordTest, DecodeMatchesParseOnAcceptedRecords) {
+  std::vector<std::uint8_t> log;
+  EncodePlaceRecord(7, Extent{100, 40}, &log);
+  EncodeRemoveRecord(9, Extent{512, 8}, &log);
+  std::vector<MoveRecord> moves = {
+      MoveRecord{1, Extent{0, 16}, Extent{64, 16}},
+      MoveRecord{2, Extent{16, 32}, Extent{128, 32}},
+  };
+  EncodeMoveBatchRecord(moves.data(), moves.size(), &log);
+  EncodeMoveBatchRecord(nullptr, 0, &log);
+  EncodeCheckpointRecord(42, &log);
+
+  std::size_t parse_offset = 0;
+  std::size_t decode_offset = 0;
+  LogRecord parsed;
+  LogRecord decoded;
+  int records = 0;
+  while (ParseLogRecord(log.data(), log.size(), &parse_offset, &parsed) ==
+         LogParseResult::kOk) {
+    DecodeLogRecord(log.data(), &decode_offset, &decoded);
+    ++records;
+    ASSERT_EQ(decode_offset, parse_offset);
+    EXPECT_EQ(decoded.type, parsed.type);
+    switch (parsed.type) {
+      case LogRecordType::kPlace:
+      case LogRecordType::kRemove:
+        EXPECT_EQ(decoded.id, parsed.id);
+        EXPECT_EQ(decoded.extent, parsed.extent);
+        break;
+      case LogRecordType::kMoveBatch:
+        ASSERT_EQ(decoded.moves.size(), parsed.moves.size());
+        for (std::size_t i = 0; i < parsed.moves.size(); ++i) {
+          EXPECT_EQ(decoded.moves[i].id, parsed.moves[i].id);
+          EXPECT_EQ(decoded.moves[i].from, parsed.moves[i].from);
+          EXPECT_EQ(decoded.moves[i].to, parsed.moves[i].to);
+        }
+        break;
+      case LogRecordType::kCheckpoint:
+        EXPECT_EQ(decoded.checkpoint_seq, parsed.checkpoint_seq);
+        break;
+    }
+  }
+  EXPECT_EQ(records, 5);
+  EXPECT_EQ(decode_offset, log.size());
+}
+
 TEST(MoveLogTest, GroupCommitCoalescesSyncsExactly) {
   MemoryLogSink sink;
   GroupCommitPolicy policy;
