@@ -1,17 +1,15 @@
-// EXP-ADDRESS-SPACE — op-level storage-engine microbench: the flat
-// (slot-table + paged offset index) AddressSpace engine against the map
-// (std::map + unordered_map) engine, at 1e3..1e6 live objects, for the
-// three primitive ops and for the move-storm workload shaped like the
-// paper's flush procedures (crunch right, unpack left — the Figure 3
-// traffic), per-move vs batched ApplyMoves. The map engine doubles as the
-// ordered-tree alternative for the neighbor index, so this bench is also
-// the "pick the ordered structure with a micro bench" evidence.
+// EXP-ADDRESS-SPACE — op-level AddressSpace microbench (slot table + paged
+// offset index) at 1e3..1e6 live objects, for the three primitive ops and
+// for the move-storm workload shaped like the paper's flush procedures
+// (crunch right, unpack left — the Figure 3 traffic), per-move Move vs
+// batched ApplyMoves, with and without a checkpoint manager.
 //
 // Writes BENCH_address_space.json (run from the repo root to refresh the
-// committed artifact). Exit code asserts the flat engine's batched
-// move-storm beats the map engine's per-move storm by the threshold:
-// >= 2.0x in full mode (the PR acceptance bar), >= 1.0x in --smoke (the
-// CI regression guard, generous to tolerate shared-runner noise).
+// committed artifact). The exit code is a correctness gate, not a speed
+// gate: after every storm SelfCheck() must pass, and the per-move and
+// batched storms of each checkpoint setting must end in identical
+// Snapshot()s. The batched/per-move throughput ratio is recorded for
+// information only.
 //
 // Usage: exp_address_space [--smoke]
 
@@ -21,6 +19,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -35,17 +34,12 @@ using Clock = std::chrono::steady_clock;
 constexpr std::uint64_t kLength = 8;   // object size
 constexpr std::uint64_t kStride = 32;  // slot pitch (>= 2 * kLength)
 
-const char* EngineName(AddressSpace::Engine engine) {
-  return engine == AddressSpace::Engine::kFlat ? "flat" : "map";
-}
-
 double Seconds(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
 struct Row {
   std::string section;
-  std::string engine;
   std::string mode;       // "-", "per-move", "batched"
   bool checkpointed = false;
   std::uint64_t n = 0;    // live objects
@@ -58,17 +52,15 @@ struct Row {
 /// Layout: object i at [i*kStride, i*kStride + kLength); moves ping-pong
 /// each object between the two halves of its slot (the sequential sweep
 /// pattern of a flush).
-std::vector<Row> RunPrimitiveOps(AddressSpace::Engine engine, std::uint64_t n,
-                                 std::uint64_t move_ops) {
+std::vector<Row> RunPrimitiveOps(std::uint64_t n, std::uint64_t move_ops) {
   std::vector<Row> rows;
-  AddressSpace space(engine);
+  AddressSpace space;
 
   auto start = Clock::now();
   for (std::uint64_t i = 0; i < n; ++i) {
     space.Place(i + 1, Extent{i * kStride, kLength});
   }
-  rows.push_back({"place", EngineName(engine), "-", false, n, n,
-                  Seconds(start)});
+  rows.push_back({"place", "-", false, n, n, Seconds(start)});
 
   std::uint64_t done = 0;
   bool upper = false;
@@ -80,15 +72,13 @@ std::vector<Row> RunPrimitiveOps(AddressSpace::Engine engine, std::uint64_t n,
     }
     upper = !upper;
   }
-  rows.push_back({"move", EngineName(engine), "per-move", false, n, done,
-                  Seconds(start)});
+  rows.push_back({"move", "per-move", false, n, done, Seconds(start)});
 
   start = Clock::now();
   for (std::uint64_t i = 0; i < n; ++i) {
     space.Remove(i + 1);
   }
-  rows.push_back({"remove", EngineName(engine), "-", false, n, n,
-                  Seconds(start)});
+  rows.push_back({"remove", "-", false, n, n, Seconds(start)});
   return rows;
 }
 
@@ -98,11 +88,17 @@ std::vector<Row> RunPrimitiveOps(AddressSpace::Engine engine, std::uint64_t n,
 /// flush step 3). `batched` stages each pass as one ApplyMoves plan;
 /// `checkpointed` runs the durability model with a checkpoint after every
 /// pass (passes are nonoverlapping, so one window per pass suffices).
-Row RunMoveStorm(AddressSpace::Engine engine, bool batched, bool checkpointed,
-                 std::uint64_t n, std::uint64_t target_moves) {
+struct Storm {
+  Row row;
+  bool self_check = false;  // SelfCheck() after the last pass
+  std::vector<std::pair<ObjectId, Extent>> layout;  // final Snapshot()
+};
+
+Storm RunMoveStorm(bool batched, bool checkpointed, std::uint64_t n,
+                   std::uint64_t target_moves) {
   std::unique_ptr<CheckpointManager> manager;
   if (checkpointed) manager = std::make_unique<CheckpointManager>();
-  AddressSpace space(manager.get(), engine);
+  AddressSpace space(manager.get());
   for (std::uint64_t i = 0; i < n; ++i) {
     space.Place(i + 1, Extent{i * kLength, kLength});
   }
@@ -144,31 +140,34 @@ Row RunMoveStorm(AddressSpace::Engine engine, bool batched, bool checkpointed,
     pass(to_upper);
     to_upper = !to_upper;
   }
-  Row row{"move-storm", EngineName(engine),
-          batched ? "batched" : "per-move", checkpointed, n, moves,
-          Seconds(start)};
-  return row;
+  const Row row{"move-storm", batched ? "batched" : "per-move", checkpointed,
+                n, moves, Seconds(start)};
+  return Storm{row, space.SelfCheck(), space.Snapshot()};
 }
 
-void WriteJson(const std::vector<Row>& rows, double storm_speedup,
-               bool smoke) {
+void WriteJson(const std::vector<Row>& rows, double plain_ratio,
+               double checkpointed_ratio, bool consistent, bool smoke) {
   std::FILE* json = std::fopen("BENCH_address_space.json", "w");
   if (json == nullptr) {
     std::printf("cannot open BENCH_address_space.json for writing\n");
     return;
   }
-  std::fprintf(json, "{\n  \"schema_version\": 1,\n  \"smoke\": %s,\n",
+  std::fprintf(json, "{\n  \"schema_version\": 2,\n  \"smoke\": %s,\n",
                smoke ? "true" : "false");
-  std::fprintf(json, "  \"storm_speedup_flat_batched_vs_map_per_move\": %.2f,\n",
-               storm_speedup);
+  std::fprintf(json, "  \"storms_consistent\": %s,\n",
+               consistent ? "true" : "false");
+  std::fprintf(json,
+               "  \"storm_batched_vs_per_move\": "
+               "{\"plain\": %.2f, \"checkpointed\": %.2f},\n",
+               plain_ratio, checkpointed_ratio);
   std::fprintf(json, "  \"rows\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::fprintf(json,
-                 "    {\"section\": \"%s\", \"engine\": \"%s\", "
+                 "    {\"section\": \"%s\", "
                  "\"mode\": \"%s\", \"checkpointed\": %s, \"n\": %llu, "
                  "\"ops\": %llu, \"seconds\": %.4f, \"ops_per_sec\": %.0f}%s\n",
-                 row.section.c_str(), row.engine.c_str(), row.mode.c_str(),
+                 row.section.c_str(), row.mode.c_str(),
                  row.checkpointed ? "true" : "false",
                  static_cast<unsigned long long>(row.n),
                  static_cast<unsigned long long>(row.ops), row.seconds,
@@ -189,7 +188,8 @@ int main(int argc, char** argv) {
   }
 
   cosr::bench::Banner(
-      "EXP-ADDRESS-SPACE — flat vs map storage engine, per-move vs batched",
+      "EXP-ADDRESS-SPACE — AddressSpace primitive ops and move storms, "
+      "per-move vs batched",
       "flush move storms should run at memory speed, not rb-tree speed");
 
   const std::vector<std::uint64_t> sizes =
@@ -200,18 +200,14 @@ int main(int argc, char** argv) {
   std::vector<cosr::Row> rows;
   {
     cosr::bench::Table table(
-        {"n", "engine", "place Mops/s", "move Mops/s", "remove Mops/s"});
+        {"n", "place Mops/s", "move Mops/s", "remove Mops/s"});
     for (const std::uint64_t n : sizes) {
-      for (const auto engine : {cosr::AddressSpace::Engine::kMap,
-                                cosr::AddressSpace::Engine::kFlat}) {
-        const std::vector<cosr::Row> r =
-            cosr::RunPrimitiveOps(engine, n, move_ops);
-        table.AddRow({std::to_string(n), cosr::EngineName(engine),
-                      cosr::bench::Fmt(r[0].ops_per_sec() / 1e6, 2),
-                      cosr::bench::Fmt(r[1].ops_per_sec() / 1e6, 2),
-                      cosr::bench::Fmt(r[2].ops_per_sec() / 1e6, 2)});
-        rows.insert(rows.end(), r.begin(), r.end());
-      }
+      const std::vector<cosr::Row> r = cosr::RunPrimitiveOps(n, move_ops);
+      table.AddRow({std::to_string(n),
+                    cosr::bench::Fmt(r[0].ops_per_sec() / 1e6, 2),
+                    cosr::bench::Fmt(r[1].ops_per_sec() / 1e6, 2),
+                    cosr::bench::Fmt(r[2].ops_per_sec() / 1e6, 2)});
+      rows.insert(rows.end(), r.begin(), r.end());
     }
     std::printf("\n-- primitive ops (object %llu B, slot pitch %llu B) --\n",
                 static_cast<unsigned long long>(cosr::kLength),
@@ -220,46 +216,50 @@ int main(int argc, char** argv) {
   }
 
   const std::uint64_t storm_n = smoke ? 5000 : 100000;
-  double map_per_move = 0;
-  double flat_batched = 0;
+  double ratio[2] = {0, 0};  // batched / per-move, indexed by checkpointed
+  std::vector<std::string> failures;
   {
     cosr::bench::Table table(
-        {"engine", "mode", "ckpt", "moves", "Mmoves/s"});
+        {"mode", "ckpt", "moves", "Mmoves/s", "SelfCheck"});
     for (const bool checkpointed : {false, true}) {
-      for (const auto engine : {cosr::AddressSpace::Engine::kMap,
-                                cosr::AddressSpace::Engine::kFlat}) {
-        for (const bool batched : {false, true}) {
-          const cosr::Row row = cosr::RunMoveStorm(engine, batched,
-                                                   checkpointed, storm_n,
-                                                   move_ops);
-          table.AddRow({cosr::EngineName(engine), batched ? "batched" : "per-move",
-                        checkpointed ? "yes" : "no", std::to_string(row.ops),
-                        cosr::bench::Fmt(row.ops_per_sec() / 1e6, 2)});
-          if (!checkpointed && engine == cosr::AddressSpace::Engine::kMap &&
-              !batched) {
-            map_per_move = row.ops_per_sec();
-          }
-          if (!checkpointed && engine == cosr::AddressSpace::Engine::kFlat &&
-              batched) {
-            flat_batched = row.ops_per_sec();
-          }
-          rows.push_back(row);
+      const char* ckpt = checkpointed ? "yes" : "no";
+      const cosr::Storm per_move =
+          cosr::RunMoveStorm(false, checkpointed, storm_n, move_ops);
+      const cosr::Storm batched =
+          cosr::RunMoveStorm(true, checkpointed, storm_n, move_ops);
+      for (const cosr::Storm* storm : {&per_move, &batched}) {
+        const cosr::Row& row = storm->row;
+        table.AddRow({row.mode, ckpt, std::to_string(row.ops),
+                      cosr::bench::Fmt(row.ops_per_sec() / 1e6, 2),
+                      storm->self_check ? "ok" : "FAIL"});
+        if (!storm->self_check) {
+          failures.push_back("SelfCheck failed after the " + row.mode +
+                             " storm (ckpt " + ckpt + ")");
         }
+        rows.push_back(row);
       }
+      if (batched.layout != per_move.layout) {
+        failures.push_back(std::string("batched and per-move storms (ckpt ") +
+                           ckpt + ") ended in different layouts");
+      }
+      ratio[checkpointed] =
+          batched.row.ops_per_sec() / per_move.row.ops_per_sec();
     }
     std::printf("\n-- move storm (flush-shaped crunch/unpack, n=%llu) --\n",
                 static_cast<unsigned long long>(storm_n));
     table.Print();
+    std::printf("batched / per-move throughput (informational): %.2fx plain, "
+                "%.2fx checkpointed\n",
+                ratio[0], ratio[1]);
   }
 
-  const double speedup = flat_batched / map_per_move;
-  cosr::WriteJson(rows, speedup, smoke);
+  const bool consistent = failures.empty();
+  cosr::WriteJson(rows, ratio[0], ratio[1], consistent, smoke);
 
-  const double threshold = smoke ? 1.0 : 2.0;
-  const bool ok = speedup >= threshold;
   cosr::bench::Verdict(
-      ok, "flat+batched move storm at " + cosr::bench::Fmt(speedup, 2) +
-              "x the map engine's per-move storm (threshold " +
-              cosr::bench::Fmt(threshold, 1) + "x)");
-  return ok ? 0 : 1;
+      consistent,
+      consistent ? "every storm passed SelfCheck and per-move/batched storms "
+                   "ended in identical layouts"
+                 : failures.front());
+  return consistent ? 0 : 1;
 }

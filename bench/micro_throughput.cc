@@ -79,33 +79,6 @@ void BM_ChurnCheckpointed(benchmark::State& state) {
                           static_cast<std::int64_t>(trace.size()));
 }
 
-/// Same churn, but on the legacy map-based AddressSpace engine — the PR 2
-/// baseline the flat engine is measured against.
-template <typename Realloc>
-void BM_ChurnMapEngine(benchmark::State& state) {
-  const Trace trace = SharedTrace();
-  for (auto _ : state) {
-    AddressSpace space(AddressSpace::Engine::kMap);
-    Realloc realloc(&space);
-    Replay(realloc, trace);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.size()));
-}
-
-template <typename Realloc>
-void BM_ChurnCheckpointedMapEngine(benchmark::State& state) {
-  const Trace trace = SharedTrace();
-  for (auto _ : state) {
-    CheckpointManager manager;
-    AddressSpace space(&manager, AddressSpace::Engine::kMap);
-    Realloc realloc(&space);
-    Replay(realloc, trace);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trace.size()));
-}
-
 BENCHMARK(BM_Churn<FirstFitAllocator>)->Name("churn/first-fit");
 BENCHMARK(BM_Churn<FirstFitMapScan>)->Name("churn/first-fit-mapscan");
 BENCHMARK(BM_Churn<BestFitAllocator>)->Name("churn/best-fit");
@@ -114,12 +87,8 @@ BENCHMARK(BM_Churn<BuddyAllocator>)->Name("churn/buddy");
 BENCHMARK(BM_Churn<LoggingCompactingReallocator>)->Name("churn/log-compact");
 BENCHMARK(BM_Churn<SizeClassReallocator>)->Name("churn/size-class");
 BENCHMARK(BM_Churn<CostObliviousReallocator>)->Name("churn/cost-oblivious");
-BENCHMARK(BM_ChurnMapEngine<CostObliviousReallocator>)
-    ->Name("churn/cost-oblivious-mapengine");
 BENCHMARK(BM_ChurnCheckpointed<CheckpointedReallocator>)
     ->Name("churn/checkpointed");
-BENCHMARK(BM_ChurnCheckpointedMapEngine<CheckpointedReallocator>)
-    ->Name("churn/checkpointed-mapengine");
 BENCHMARK(BM_ChurnCheckpointed<DeamortizedReallocator>)
     ->Name("churn/deamortized");
 

@@ -30,6 +30,29 @@ bool AlgorithmNeedsCheckpointManager(const std::string& algorithm) {
   return algorithm == "checkpointed" || algorithm == "deamortized";
 }
 
+Status CheckDurabilityPrecondition(const ReallocatorSpec& spec) {
+  if (spec.durability == nullptr ||
+      AlgorithmNeedsCheckpointManager(spec.algorithm)) {
+    return Status::Ok();
+  }
+  return Status::FailedPrecondition(
+      "durability requires a checkpoint-managed algorithm "
+      "(checkpointed/deamortized); " +
+      spec.algorithm + " never checkpoints, so its log would have no "
+      "recoverable prefix");
+}
+
+Status CheckShardGeometry(std::uint32_t shard_count,
+                          std::uint64_t subrange_span) {
+  if (shard_count == 0) {
+    return Status::InvalidArgument("shard_count must be >= 1");
+  }
+  if (subrange_span == 0 || subrange_span > ~std::uint64_t{0} / shard_count) {
+    return Status::InvalidArgument("subrange_span degenerate for K shards");
+  }
+  return Status::Ok();
+}
+
 bool AlgorithmInsertCanFailOnFreshId(const std::string& algorithm) {
   return algorithm == "pma";
 }
@@ -63,13 +86,8 @@ Status MakeReallocator(const ReallocatorSpec& spec, Space* space,
     // Single-instance durability wiring: log 0 observes the space and the
     // manager's checkpoints. (The sharded facades wire per-shard logs
     // themselves and clear this field before building their inners.)
-    if (!AlgorithmNeedsCheckpointManager(spec.algorithm)) {
-      return Status::FailedPrecondition(
-          "durability requires a checkpoint-managed algorithm "
-          "(checkpointed/deamortized); " +
-          spec.algorithm + " never checkpoints, so its log would have no "
-          "recoverable prefix");
-    }
+    Status status = CheckDurabilityPrecondition(spec);
+    if (!status.ok()) return status;
     MoveLog* log = spec.durability->LogForShard(0);
     space->checkpoint_manager()->AttachDurabilityLog(log);
     space->AddListener(log);

@@ -82,6 +82,17 @@ const std::vector<std::string>& KnownAlgorithms();
 /// CheckpointManager attached (the Section 3 variants).
 bool AlgorithmNeedsCheckpointManager(const std::string& algorithm);
 
+/// FailedPrecondition when `spec` asks for durability on an algorithm that
+/// never checkpoints (its log would have no recoverable prefix); Ok
+/// otherwise. Shared by MakeReallocator and both sharded facades.
+Status CheckDurabilityPrecondition(const ReallocatorSpec& spec);
+
+/// InvalidArgument unless `shard_count` >= 1 and K sub-ranges of
+/// `subrange_span` fit the 64-bit address range. Shared by both sharded
+/// facades.
+Status CheckShardGeometry(std::uint32_t shard_count,
+                          std::uint64_t subrange_span);
+
 /// Whether the named algorithm's Insert can fail on a fresh id with a
 /// positive size (today: only "pma", whose sparse tables hold uniform
 /// slot_size objects). Such algorithms cannot sit behind the concurrent

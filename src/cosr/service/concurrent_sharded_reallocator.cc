@@ -16,17 +16,13 @@ Status ConcurrentShardedReallocator::Make(
   if (out == nullptr) {
     return Status::InvalidArgument("out must be non-null");
   }
-  if (options.shard_count == 0) {
-    return Status::InvalidArgument("shard_count must be >= 1");
-  }
+  Status status = CheckShardGeometry(options.shard_count,
+                                     options.subrange_span);
+  if (!status.ok()) return status;
   if (options.worker_threads > options.shard_count) {
     return Status::InvalidArgument(
         "worker_threads must be <= shard_count (a shard is owned by "
         "exactly one worker)");
-  }
-  if (options.subrange_span == 0 ||
-      options.subrange_span > ~std::uint64_t{0} / options.shard_count) {
-    return Status::InvalidArgument("subrange_span degenerate for K shards");
   }
   if (options.queue_capacity == 0) {
     return Status::InvalidArgument("queue_capacity must be >= 1");
@@ -45,15 +41,9 @@ Status ConcurrentShardedReallocator::Make(
         "represent; use hash routing without rebalance");
   }
 
+  status = CheckDurabilityPrecondition(inner_spec);
+  if (!status.ok()) return status;
   DurabilityHub* durability = inner_spec.durability;
-  if (durability != nullptr &&
-      !AlgorithmNeedsCheckpointManager(inner_spec.algorithm)) {
-    return Status::FailedPrecondition(
-        "durability requires a checkpoint-managed algorithm "
-        "(checkpointed/deamortized); " +
-        inner_spec.algorithm + " never checkpoints, so its log would have "
-        "no recoverable prefix");
-  }
 
   ReallocatorSpec spec = inner_spec;
   spec.shard_count = 1;  // the facade is the only sharding layer
@@ -89,7 +79,7 @@ Status ConcurrentShardedReallocator::Make(
     shard.view = std::make_unique<SubSpaceView>(
         shard.space.get(), std::uint64_t{i} * options.subrange_span,
         options.subrange_span, shard.manager.get());
-    Status status = MakeReallocator(spec, shard.view.get(), &shard.inner);
+    status = MakeReallocator(spec, shard.view.get(), &shard.inner);
     if (!status.ok()) return status;
     if (durability != nullptr) {
       // Private roots see only their own shard's events (in based/global
@@ -495,30 +485,14 @@ ShardStats ConcurrentShardedReallocator::Stats() {
     std::lock_guard<std::mutex> drop_lock(drop_mu_);
     for (std::uint32_t i = 0; i < shard_count(); ++i) {
       per_shard[i].dropped_ops = dropped_ops_[i];
-      stats.dropped_ops += dropped_ops_[i];
     }
     stats.last_drop_status = last_drop_status_;
   }
   for (std::uint32_t i = 0; i < shard_count(); ++i) {
-    const ShardStats::PerShard& per = per_shard[i];
-    stats.volume += per.volume;
-    stats.sum_reserved_footprint += per.reserved_footprint;
-    stats.sum_subrange_footprint += per.space_footprint;
-    stats.max_shard_end = std::max(stats.max_shard_end, per.space_footprint);
+    stats.AddShard(per_shard[i]);
     // Private roots hold based (global) coordinates, so the max of their
     // footprints is the shared parent's literal footprint.
     stats.global_max_end = std::max(stats.global_max_end, max_end[i]);
-    stats.migrations += per.migrations;
-    stats.migrated_bytes += per.migrated_bytes;
-    stats.log_syncs += per.log_syncs;
-    stats.log_compactions += per.log_compactions;
-    stats.sync_wall_seconds += per.sync_wall_seconds;
-    stats.max_sync_stall_seconds =
-        std::max(stats.max_sync_stall_seconds, per.max_sync_stall_seconds);
-    stats.latency_total.MergeFrom(per.latency_total);
-    stats.latency_queue_wait.MergeFrom(per.latency_queue_wait);
-    stats.latency_service.MergeFrom(per.latency_service);
-    stats.shards.push_back(per);
   }
   return stats;
 }

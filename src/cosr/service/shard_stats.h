@@ -1,6 +1,7 @@
 #ifndef COSR_SERVICE_SHARD_STATS_H_
 #define COSR_SERVICE_SHARD_STATS_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -115,6 +116,28 @@ struct ShardStats {
   LatencyHistogramSnapshot latency_total;
   LatencyHistogramSnapshot latency_queue_wait;
   LatencyHistogramSnapshot latency_service;
+
+  /// Folds one shard into the facade-wide totals and appends it to
+  /// `shards`. global_max_end and last_drop_status stay with the caller:
+  /// each facade derives them differently.
+  void AddShard(const PerShard& per) {
+    volume += per.volume;
+    dropped_ops += per.dropped_ops;
+    sum_reserved_footprint += per.reserved_footprint;
+    sum_subrange_footprint += per.space_footprint;
+    max_shard_end = std::max(max_shard_end, per.space_footprint);
+    migrations += per.migrations;
+    migrated_bytes += per.migrated_bytes;
+    log_syncs += per.log_syncs;
+    log_compactions += per.log_compactions;
+    sync_wall_seconds += per.sync_wall_seconds;
+    max_sync_stall_seconds =
+        std::max(max_sync_stall_seconds, per.max_sync_stall_seconds);
+    latency_total.MergeFrom(per.latency_total);
+    latency_queue_wait.MergeFrom(per.latency_queue_wait);
+    latency_service.MergeFrom(per.latency_service);
+    shards.push_back(per);
+  }
 };
 
 /// One shard's wall-clock latency recorders, grouped so the facades can

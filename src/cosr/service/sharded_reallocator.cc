@@ -1,6 +1,5 @@
 #include "cosr/service/sharded_reallocator.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "cosr/common/check.h"
@@ -14,29 +13,18 @@ Status ShardedReallocator::Make(const ReallocatorSpec& inner_spec,
   if (parent == nullptr || out == nullptr) {
     return Status::InvalidArgument("parent and out must be non-null");
   }
-  if (options.shard_count == 0) {
-    return Status::InvalidArgument("shard_count must be >= 1");
-  }
-  if (options.subrange_span == 0 ||
-      options.subrange_span >
-          ~std::uint64_t{0} / options.shard_count) {
-    return Status::InvalidArgument("subrange_span degenerate for K shards");
-  }
+  Status status = CheckShardGeometry(options.shard_count,
+                                     options.subrange_span);
+  if (!status.ok()) return status;
   if (parent->checkpoint_manager() != nullptr) {
     return Status::FailedPrecondition(
         "sharded parent space must not carry a CheckpointManager; each "
         "shard scopes its own");
   }
 
+  status = CheckDurabilityPrecondition(inner_spec);
+  if (!status.ok()) return status;
   DurabilityHub* durability = inner_spec.durability;
-  if (durability != nullptr &&
-      !AlgorithmNeedsCheckpointManager(inner_spec.algorithm)) {
-    return Status::FailedPrecondition(
-        "durability requires a checkpoint-managed algorithm "
-        "(checkpointed/deamortized); " +
-        inner_spec.algorithm + " never checkpoints, so its log would have "
-        "no recoverable prefix");
-  }
 
   ReallocatorSpec spec = inner_spec;
   spec.shard_count = 1;  // the facade is the only sharding layer
@@ -57,7 +45,7 @@ Status ShardedReallocator::Make(const ReallocatorSpec& inner_spec,
     shard.view = std::make_unique<SubSpaceView>(
         parent, std::uint64_t{i} * options.subrange_span,
         options.subrange_span, shard.manager.get());
-    Status status = MakeReallocator(spec, shard.view.get(), &shard.inner);
+    status = MakeReallocator(spec, shard.view.get(), &shard.inner);
     if (!status.ok()) return status;
     if (durability != nullptr) {
       // The parent's listener stream interleaves every shard's events;
@@ -259,21 +247,7 @@ ShardStats ShardedReallocator::Stats() const {
     per.latency_total = latency_[i].total.Snapshot();
     per.latency_queue_wait = latency_[i].queue_wait.Snapshot();
     per.latency_service = latency_[i].service.Snapshot();
-    stats.latency_total.MergeFrom(per.latency_total);
-    stats.latency_queue_wait.MergeFrom(per.latency_queue_wait);
-    stats.latency_service.MergeFrom(per.latency_service);
-    stats.volume += per.volume;
-    stats.sum_reserved_footprint += per.reserved_footprint;
-    stats.sum_subrange_footprint += per.space_footprint;
-    stats.max_shard_end = std::max(stats.max_shard_end, per.space_footprint);
-    stats.migrations += per.migrations;
-    stats.migrated_bytes += per.migrated_bytes;
-    stats.log_syncs += per.log_syncs;
-    stats.log_compactions += per.log_compactions;
-    stats.sync_wall_seconds += per.sync_wall_seconds;
-    stats.max_sync_stall_seconds =
-        std::max(stats.max_sync_stall_seconds, per.max_sync_stall_seconds);
-    stats.shards.push_back(per);
+    stats.AddShard(per);
   }
   stats.global_max_end = parent_->footprint();
   return stats;

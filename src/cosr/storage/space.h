@@ -47,7 +47,7 @@ class SpaceListener {
 /// (optionally) checkpoint-frozen-region enforcement.
 ///
 /// Two implementations exist:
-///   * AddressSpace — the real thing (flat-table or map engine), the root
+///   * AddressSpace — the real thing (slot table + offset index), the root
 ///     of every object hierarchy;
 ///   * SubSpaceView (service layer) — an offset-translated window onto a
 ///     disjoint sub-range of a parent Space, giving each shard of a

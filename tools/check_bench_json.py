@@ -38,9 +38,19 @@ def check_micro(data, path):
     benchmarks = data.get("benchmarks")
     require(isinstance(benchmarks, list) and benchmarks, path,
             "'benchmarks' must be a non-empty list")
-    names = {b.get("name", "") for b in benchmarks}
-    require(any(n.startswith("churn/") for n in names), path,
-            "no churn/* benchmarks found")
+    churn = [b for b in benchmarks
+             if b.get("run_name", b.get("name", "")).startswith("churn/")]
+    require(churn, path, "no churn/* benchmarks found")
+    # The artifact must record spread, not one run: every churn/* family
+    # needs a median aggregate row (--benchmark_repetitions=5
+    # --benchmark_report_aggregates_only=true, see docs/BENCHMARKS.md).
+    families = {b.get("run_name", b.get("name")) for b in churn}
+    medians = {b.get("run_name") for b in churn
+               if b.get("run_type") == "aggregate" and
+               b.get("aggregate_name") == "median"}
+    missing = sorted(families - medians)
+    require(not missing, path, f"no median aggregate row for {missing}; "
+            "regenerate with --benchmark_repetitions=5")
 
 
 def check_free_index(data, path):
@@ -51,11 +61,26 @@ def check_free_index(data, path):
 
 
 def check_address_space(data, path):
-    require(data.get("schema_version") == 1, path, "schema_version != 1")
-    require("storm_speedup_flat_batched_vs_map_per_move" in data, path,
-            "missing storm speedup summary key")
+    # v2 drops the "engine" column with the map engine: every row measures
+    # the one AddressSpace. The binary's exit code is a correctness gate
+    # (SelfCheck after every storm, identical per-move/batched layouts);
+    # the batched/per-move ratio is informational only.
+    require(data.get("schema_version") == 2, path, "schema_version != 2")
+    require(data.get("storms_consistent") is True, path,
+            "artifact comes from a run whose storm correctness gate failed")
+    ratio = data.get("storm_batched_vs_per_move")
+    require(isinstance(ratio, dict) and
+            {"plain", "checkpointed"} <= ratio.keys(), path,
+            "storm_batched_vs_per_move must give 'plain' and 'checkpointed'")
     check_rows(data, path,
-               {"section", "engine", "mode", "n", "ops", "ops_per_sec"})
+               {"section", "mode", "checkpointed", "n", "ops", "ops_per_sec"})
+    storms = {(r["mode"], r["checkpointed"]) for r in data["rows"]
+              if r["section"] == "move-storm"}
+    for mode in ("per-move", "batched"):
+        for checkpointed in (False, True):
+            require((mode, checkpointed) in storms, path,
+                    f"move-storm {mode} checkpointed={checkpointed} row "
+                    "missing")
 
 
 def check_scenarios(data, path):
