@@ -9,7 +9,8 @@
 // gate: after every storm SelfCheck() must pass, and the per-move and
 // batched storms of each checkpoint setting must end in identical
 // Snapshot()s. The batched/per-move throughput ratio is recorded for
-// information only.
+// information only: ApplyMoves runs Move's own step once per plan, so it
+// is about 1 by construction.
 //
 // Usage: exp_address_space [--smoke]
 

@@ -120,7 +120,7 @@ void CheckpointedReallocator::FlushWithCheckpoints(
   // insert) to [work_area, ...). Sources all end before L + ∆ <= work_area,
   // so a single inter-checkpoint window suffices — and the whole step is
   // one ApplyMoves batch, as is every checkpoint phase below: the space
-  // validates the Lemma 3.2 nonoverlap property once per batch.
+  // checks each move's Lemma 3.2 nonoverlap property in plan order.
   std::uint64_t overflow = work_area;
   std::vector<std::vector<std::pair<ObjectId, std::uint64_t>>>
       overflow_by_class(static_cast<std::size_t>(maxc) + 1);

@@ -129,7 +129,7 @@ void CostObliviousReallocator::Flush(int boundary, const Pending& pending) {
   // Step 1: evacuate live buffered objects to the overflow segment, which
   // starts after both the old and the new suffix; drop dummy records. The
   // whole stage is one ApplyMoves batch (as are steps 2-4): the space
-  // validates the batch once and listeners see one coherent event per
+  // applies it in plan order and listeners see one coherent event per
   // stage instead of per-move fan-out.
   std::uint64_t overflow = std::max(new_end, old_end);
   std::vector<std::vector<std::pair<ObjectId, std::uint64_t>>>

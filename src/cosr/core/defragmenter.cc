@@ -49,8 +49,9 @@ std::vector<ObjectId> ByOffsetDescending(const Space& space,
 
 /// Packs the objects against `right_end` (one slide per object; slides may
 /// self-overlap, i.e. memmove semantics). The whole crunch is one batched
-/// move plan: targets are computed from the pre-crunch layout, so the
-/// space applies and validates them in a single ApplyMoves.
+/// move plan in descending offset order: ApplyMoves applies it in that
+/// order, so each slide lands on free space, space its right neighbor just
+/// vacated, or its own source.
 void CrunchRight(Space* space, const std::vector<ObjectId>& ids,
                  std::uint64_t right_end) {
   std::vector<MovePlan> plan;

@@ -98,8 +98,9 @@ class SizeClassLayout : public Reallocator {
   /// Move-plan staging for the flush paths: PlanMove stages, and
   /// FlushPlannedMoves applies everything staged so far as one
   /// Space::ApplyMoves batch (one batch per flush stage, or per
-  /// checkpoint phase in the durability variants). Staged plans must be
-  /// applied before anything reads the movers' extents again.
+  /// checkpoint phase in the durability variants), applied in staging
+  /// order. Staged plans must be applied before anything reads the movers'
+  /// extents again.
   void PlanMove(ObjectId id, const Extent& to) {
     move_batch_.push_back(MovePlan{id, to});
   }

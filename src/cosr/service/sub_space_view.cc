@@ -8,15 +8,6 @@
 
 namespace cosr {
 
-namespace {
-
-std::string FrozenMessage(const Extent& target) {
-  return "write into frozen region " + ToString(target) +
-         " (freed since last shard checkpoint)";
-}
-
-}  // namespace
-
 SubSpaceView::SubSpaceView(Space* parent, std::uint64_t base,
                            std::uint64_t span, CheckpointManager* manager)
     : parent_(parent), base_(base), span_(span), manager_(manager) {
@@ -66,7 +57,7 @@ bool SubSpaceView::TryPlace(ObjectId id, const Extent& extent) {
     // extent overlaps a frozen region (only a real write may abort).
     Extent existing;
     if (parent_->TryExtentOf(id, &existing)) return false;
-    COSR_CHECK_MSG(manager_->IsWritable(extent), FrozenMessage(extent));
+    manager_->CheckWritable(extent);
   }
   if (!parent_->TryPlace(id, global)) return false;
   live_volume_ += extent.length;
@@ -74,52 +65,31 @@ bool SubSpaceView::TryPlace(ObjectId id, const Extent& extent) {
   return true;
 }
 
-void SubSpaceView::CheckMoveWritable(const Extent& from,
-                                     const Extent& to) const {
-  // Durability requires the old copy to survive until the next checkpoint,
-  // so the new location must be disjoint from the old one and thawed.
-  COSR_CHECK_MSG(!from.Overlaps(to), "overlapping move " + ToString(from) +
-                                         " -> " + ToString(to) +
-                                         " under checkpoint policy");
-  COSR_CHECK_MSG(manager_->IsWritable(to), FrozenMessage(to));
-}
-
 void SubSpaceView::Move(ObjectId id, const Extent& to) {
   owner_fence_.Assert("SubSpaceView");
   const Extent from = LocalExtentOf(id);
-  if (manager_ != nullptr && from.offset != to.offset) {
-    CheckMoveWritable(from, to);
-  }
+  const bool managed = manager_ != nullptr && from.offset != to.offset;
+  if (managed) manager_->CheckMove(from, to);
   parent_->Move(id, ToParent(to));
-  if (manager_ != nullptr && from.offset != to.offset) {
-    manager_->NoteFreed(from);
-  }
+  if (managed) manager_->NoteFreed(from);
 }
 
 void SubSpaceView::ApplyMoves(const MovePlan* plans, std::size_t count) {
   owner_fence_.Assert("SubSpaceView");
-  if (count == 0) return;
+  // Each plan is checked under Move's rule in this shard's coordinates, and
+  // its source frozen before the next plan is checked; the parent then
+  // applies the translated plans in the same order (and skips no-ops).
   batch_plans_.clear();
-  batch_sources_.clear();
-  batch_targets_.clear();
   for (std::size_t i = 0; i < count; ++i) {
     const Extent from = LocalExtentOf(plans[i].id);
-    COSR_CHECK_EQ(from.length, plans[i].to.length);
-    if (from.offset == plans[i].to.offset) continue;  // no-op move
-    batch_plans_.push_back(MovePlan{plans[i].id, ToParent(plans[i].to)});
-    batch_sources_.push_back(from);
-    batch_targets_.push_back(plans[i].to);
-  }
-  if (batch_plans_.empty()) return;
-  if (manager_ != nullptr) {
-    // The Lemma 3.2 batch rules, scoped to this shard — the same shared
-    // sweep AddressSpace's managed path runs, in local coordinates.
-    CheckMoveBatchDurability(batch_sources_, batch_targets_, *manager_);
+    const Extent& to = plans[i].to;
+    if (manager_ != nullptr && from.offset != to.offset) {
+      manager_->CheckMove(from, to);
+      manager_->NoteFreed(from);
+    }
+    batch_plans_.push_back(MovePlan{plans[i].id, ToParent(to)});
   }
   parent_->ApplyMoves(batch_plans_.data(), batch_plans_.size());
-  if (manager_ != nullptr) {
-    for (const Extent& source : batch_sources_) manager_->NoteFreed(source);
-  }
 }
 
 bool SubSpaceView::TryRemove(ObjectId id, Extent* removed) {

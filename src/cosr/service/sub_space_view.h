@@ -25,11 +25,11 @@ class CheckpointManager;
 ///
 /// Frozen-region enforcement is *scoped*: the view owns (optionally) its
 /// shard's CheckpointManager and applies the Section 3.1 durability rules —
-/// writability of targets, nonoverlap of moves, the Lemma 3.2 batch sweep —
-/// in local coordinates before anything reaches the parent, which itself
-/// stays unmanaged. A checkpoint on the view releases only this shard's
-/// frozen regions (and still notifies the parent's listeners, so meters see
-/// every shard's checkpoints).
+/// CheckpointManager::CheckWritable and CheckMove, once per move and in
+/// plan order within a batch — in local coordinates before anything
+/// reaches the parent, which itself stays unmanaged. A checkpoint on the
+/// view releases only this shard's frozen regions (and still notifies the
+/// parent's listeners, so meters see every shard's checkpoints).
 ///
 /// Listeners are forwarded to the parent: observers always price physical
 /// activity in root (global) coordinates.
@@ -90,9 +90,6 @@ class SubSpaceView final : public Space {
   /// absent from the parent *or* owned by a different sub-range.
   Extent LocalExtentOf(ObjectId id) const;
 
-  /// The Section 3.1 checks for a single move, in local coordinates.
-  void CheckMoveWritable(const Extent& from, const Extent& to) const;
-
   /// Debug fence for the thread-compatible contract: all mutations must
   /// come from the thread that issued the first one.
   OwnerThreadFence owner_fence_;
@@ -104,10 +101,8 @@ class SubSpaceView final : public Space {
   std::uint64_t live_volume_ = 0;
   std::size_t object_count_ = 0;
 
-  // Reused ApplyMoves scratch (mirrors AddressSpace's batch buffers).
+  // Reused ApplyMoves scratch: the batch in parent coordinates.
   std::vector<MovePlan> batch_plans_;
-  std::vector<Extent> batch_sources_;
-  std::vector<Extent> batch_targets_;
 };
 
 }  // namespace cosr

@@ -14,11 +14,6 @@ std::string OverlapMessage(const Extent& target, ObjectId other,
          std::to_string(other) + " at " + ToString(other_extent);
 }
 
-std::string FrozenMessage(const Extent& target) {
-  return "write into frozen region " + ToString(target) +
-         " (freed since last checkpoint)";
-}
-
 }  // namespace
 
 void AddressSpace::AddListener(SpaceListener* listener) {
@@ -50,9 +45,7 @@ bool AddressSpace::TryPlace(ObjectId id, const Extent& extent) {
     if (!inserted) return false;
     slot = &it->second;
   }
-  if (checkpoints_ != nullptr) {
-    COSR_CHECK_MSG(checkpoints_->IsWritable(extent), FrozenMessage(extent));
-  }
+  if (checkpoints_ != nullptr) checkpoints_->CheckWritable(extent);
   *slot = extent;
   // A failed neighbor check aborts the process, so the eager slot write
   // above never leaks an inconsistent entry.
@@ -66,63 +59,35 @@ bool AddressSpace::TryPlace(ObjectId id, const Extent& extent) {
 }
 
 void AddressSpace::Move(ObjectId id, const Extent& to) {
-  Extent* slot = SlotFor(id);
-  COSR_CHECK_MSG(slot != nullptr,
-                 "move of unplaced object " + std::to_string(id));
-  const Extent from = *slot;
-  COSR_CHECK_EQ(from.length, to.length);
-  if (from.offset == to.offset) return;  // no-op move
-  if (checkpoints_ != nullptr) {
-    // Durability requires the old copy to survive until the next
-    // checkpoint, so the new location must be disjoint from the old one.
-    COSR_CHECK_MSG(!from.Overlaps(to),
-                   "overlapping move " + ToString(from) + " -> " +
-                       ToString(to) + " under checkpoint policy");
-    COSR_CHECK_MSG(checkpoints_->IsWritable(to), FrozenMessage(to));
-  }
-  COSR_CHECK(index_.Erase(from.offset));
-  *slot = to;
-  IndexInsertChecked(id, to);
-  if (checkpoints_ != nullptr) checkpoints_->NoteFreed(from);
+  Extent from;
+  if (!MoveOne(id, to, &from)) return;
   if (!listeners_.empty()) {
     for (SpaceListener* l : listeners_) l->OnMove(id, from, to);
   }
 }
 
 void AddressSpace::ApplyMoves(const MovePlan* plans, std::size_t count) {
-  if (count == 0) return;
   batch_records_.clear();
-  batch_records_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const MovePlan& plan = plans[i];
-    const Extent* slot = SlotFor(plan.id);
-    COSR_CHECK_MSG(slot != nullptr,
-                   "move of unplaced object " + std::to_string(plan.id));
-    COSR_CHECK_EQ(slot->length, plan.to.length);
-    if (slot->offset == plan.to.offset) continue;  // no-op move
-    batch_records_.push_back(MoveRecord{plan.id, *slot, plan.to});
+    Extent from;
+    if (MoveOne(plans[i].id, plans[i].to, &from)) {
+      batch_records_.push_back(MoveRecord{plans[i].id, from, plans[i].to});
+    }
   }
   if (batch_records_.empty()) return;
-  if (checkpoints_ != nullptr) CheckBatchAgainstFrozen();
-
-  // Vacate every source before indexing any target, so a batch may reuse
-  // space its own members free (the memmove model); duplicate ids in one
-  // batch would fail the second Erase. Each target re-insert is then
-  // checked against its definitive neighbors, which enforces disjointness
-  // of the whole final layout.
+  // Replay checks each record's source against the layout before the
+  // batch, so a batch may move an object at most once. Every object ends at
+  // its record's target exactly when no id repeated.
   for (const MoveRecord& r : batch_records_) {
-    COSR_CHECK(index_.Erase(r.from.offset));
+    COSR_CHECK_MSG(SlotFor(r.id)->offset == r.to.offset,
+                   "object " + std::to_string(r.id) +
+                       " moved twice in one batch");
   }
-  for (const MoveRecord& r : batch_records_) {
-    *SlotFor(r.id) = r.to;
+  if (!listeners_.empty()) {
+    for (SpaceListener* l : listeners_) {
+      l->OnMoves(batch_records_.data(), batch_records_.size());
+    }
   }
-  for (const MoveRecord& r : batch_records_) {
-    IndexInsertChecked(r.id, r.to);
-  }
-  if (checkpoints_ != nullptr) {
-    for (const MoveRecord& r : batch_records_) checkpoints_->NoteFreed(r.from);
-  }
-  NotifyMoves();
 }
 
 bool AddressSpace::TryRemove(ObjectId id, Extent* removed) {
@@ -227,26 +192,19 @@ bool AddressSpace::SelfCheck() const {
 
 // ------------------------------------------------------------- internals
 
-void AddressSpace::NotifyMoves() {
-  if (listeners_.empty()) return;
-  for (SpaceListener* l : listeners_) {
-    l->OnMoves(batch_records_.data(), batch_records_.size());
-  }
-}
-
-/// Batch-level durability validation: the Lemma 3.2 nonoverlap property,
-/// checked by the shared CheckMoveBatchDurability sweep. Only called with
-/// a checkpoint manager attached.
-void AddressSpace::CheckBatchAgainstFrozen() {
-  batch_sources_.clear();
-  batch_targets_.clear();
-  batch_sources_.reserve(batch_records_.size());
-  batch_targets_.reserve(batch_records_.size());
-  for (const MoveRecord& r : batch_records_) {
-    batch_sources_.push_back(r.from);
-    batch_targets_.push_back(r.to);
-  }
-  CheckMoveBatchDurability(batch_sources_, batch_targets_, *checkpoints_);
+bool AddressSpace::MoveOne(ObjectId id, const Extent& to, Extent* from) {
+  Extent* slot = SlotFor(id);
+  COSR_CHECK_MSG(slot != nullptr,
+                 "move of unplaced object " + std::to_string(id));
+  *from = *slot;
+  COSR_CHECK_EQ(from->length, to.length);
+  if (from->offset == to.offset) return false;  // no-op move
+  if (checkpoints_ != nullptr) checkpoints_->CheckMove(*from, to);
+  COSR_CHECK(index_.Erase(from->offset));
+  *slot = to;
+  IndexInsertChecked(id, to);
+  if (checkpoints_ != nullptr) checkpoints_->NoteFreed(*from);
+  return true;
 }
 
 void AddressSpace::DenseSlots::GrowTo(std::size_t size) {

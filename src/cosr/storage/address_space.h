@@ -28,9 +28,8 @@ namespace cosr {
 /// Storage is a dense ObjectId-indexed slot table (ids are sequential
 /// uint64s from the workload layer; sparse ids spill into a small overflow
 /// map) plus a paged sorted-vector offset index (OffsetIndex): O(1) id
-/// lookups, cache-friendly neighbor checks, O(1) footprint, and a batched
-/// ApplyMoves that validates once per batch. Differential fuzzing
-/// (tests/address_space_engine_test.cc) drives it against a plain
+/// lookups, cache-friendly neighbor checks and O(1) footprint. Differential
+/// fuzzing (tests/address_space_engine_test.cc) drives it against a plain
 /// ordered-map reference model.
 ///
 /// Thread-compatible: no internal locking — all access (including const
@@ -55,19 +54,8 @@ class AddressSpace final : public Space {
   /// Moves an existing object to `to` (length must match).
   void Move(ObjectId id, const Extent& to) override;
 
-  /// Applies a batch of moves — the flush-storm fast path. Ids must be
-  /// distinct; no-op plans (target == current position) are skipped.
-  /// Listeners receive a single OnMoves with the applied records.
-  ///
-  /// Validation is batch-level: the *final* layout must
-  /// be disjoint (each reindexed target is checked against its definitive
-  /// neighbors), and under a checkpoint manager every target must
-  /// additionally be disjoint from every batch source and from regions
-  /// frozen before the batch — the Lemma 3.2 nonoverlap property, checked
-  /// with one sorted sweep per batch instead of per-move probes. Without a
-  /// manager, transient ordering hazards between batch members (a target
-  /// crossing a not-yet-vacated source) are the caller's responsibility,
-  /// exactly like a self-overlapping memmove.
+  /// Applies the plans in order through Move's own step (see
+  /// Space::ApplyMoves), then CHECKs that no id repeated.
   using Space::ApplyMoves;
   void ApplyMoves(const MovePlan* plans, std::size_t count) override;
 
@@ -125,8 +113,12 @@ class AddressSpace final : public Space {
   /// neighbors can overlap, so this enforces full disjointness inductively.
   void IndexInsertChecked(ObjectId id, const Extent& extent);
 
-  void NotifyMoves();
-  void CheckBatchAgainstFrozen();
+  /// The one move step behind Move and ApplyMoves: CHECKs that `id` is
+  /// placed with `to`'s length and, under a manager, the Section 3.1 move
+  /// rule; then re-indexes the object at `to` (CHECKing it against its
+  /// neighbors) and freezes its source. Stores the source in *from and
+  /// returns false, touching nothing, for a no-op move.
+  bool MoveOne(ObjectId id, const Extent& to, Extent* from);
 
   static constexpr std::size_t kDenseFloor = 4096;
 
@@ -164,8 +156,6 @@ class AddressSpace final : public Space {
 
   // Reused ApplyMoves scratch (avoids per-batch allocation in move storms).
   std::vector<MoveRecord> batch_records_;
-  std::vector<Extent> batch_sources_;
-  std::vector<Extent> batch_targets_;
 };
 
 }  // namespace cosr

@@ -1,37 +1,22 @@
 #include "cosr/storage/checkpoint_manager.h"
 
-#include <algorithm>
+#include <string>
 
 #include "cosr/common/check.h"
 
 namespace cosr {
 
-void CheckMoveBatchDurability(std::vector<Extent>& sources,
-                              std::vector<Extent>& targets,
-                              const CheckpointManager& manager) {
-  const auto by_offset = [](const Extent& a, const Extent& b) {
-    return a.offset < b.offset;
-  };
-  std::sort(sources.begin(), sources.end(), by_offset);
-  std::sort(targets.begin(), targets.end(), by_offset);
-  std::size_t s = 0;
-  for (const Extent& target : targets) {
-    while (s < sources.size() && sources[s].end() <= target.offset) {
-      ++s;
-    }
-    if (s < sources.size() && sources[s].Overlaps(target)) {
-      COSR_CHECK_MSG(false, "overlapping move " + ToString(sources[s]) +
-                                " -> " + ToString(target) +
-                                " under checkpoint policy");
-    }
-  }
-  if (manager.frozen().IntersectsAnySorted(targets)) {
-    for (const Extent& target : targets) {
-      COSR_CHECK_MSG(manager.IsWritable(target),
-                     "write into frozen region " + ToString(target) +
-                         " (freed since last checkpoint)");
-    }
-  }
+void CheckpointManager::CheckWritable(const Extent& target) const {
+  COSR_CHECK_MSG(IsWritable(target), "write into frozen region " +
+                                         ToString(target) +
+                                         " (freed since last checkpoint)");
+}
+
+void CheckpointManager::CheckMove(const Extent& from, const Extent& to) const {
+  COSR_CHECK_MSG(!from.Overlaps(to), "overlapping move " + ToString(from) +
+                                         " -> " + ToString(to) +
+                                         " under checkpoint policy");
+  CheckWritable(to);
 }
 
 }  // namespace cosr

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "cosr/storage/extent.h"
 #include "cosr/storage/extent_set.h"
@@ -23,26 +22,17 @@ class CheckpointDurabilityLog {
   virtual void LogCheckpoint(std::uint64_t seq) = 0;
 };
 
-/// The Lemma 3.2 batch rules, shared by every surface that applies a move
-/// batch under a manager (AddressSpace's managed engines and the shard-
-/// scoped SubSpaceView): every target must be disjoint from every batch
-/// source and from every region frozen before the batch. Sorts both
-/// vectors by offset in place (they are scratch buffers at every call
-/// site) and CHECK-fails on the first violation. One sorted sweep plus
-/// one merged frozen sweep — no per-move probes.
-void CheckMoveBatchDurability(std::vector<Extent>& sources,
-                              std::vector<Extent>& targets,
-                              const CheckpointManager& manager);
-
 /// The durability model of Section 3.1. When an object is moved or deleted,
 /// its old location is *frozen*: the logical-to-physical map naming that
 /// location has not yet been persisted, so the bytes there must survive
 /// until the next checkpoint. A checkpoint persists the map and releases
 /// every location frozen before it.
 ///
-/// Attached to an AddressSpace, this manager turns Lemma 3.2 (phase moves
-/// are nonoverlapping) into an enforced runtime property: any write into a
-/// frozen region aborts the process.
+/// Attached to a Space, this manager turns Lemma 3.2 (phase moves are
+/// nonoverlapping) into an enforced runtime property: every write goes
+/// through CheckWritable or CheckMove, and any write into a frozen region
+/// aborts the process. A move batch is checked one move at a time, in plan
+/// order, each move freezing its source before the next is checked.
 ///
 /// Thread-compatible: scope one manager to one shard and drive it from
 /// that shard's owning thread only (the sharded facades construct exactly
@@ -58,6 +48,14 @@ class CheckpointManager {
 
   /// Whether the whole extent may be written right now.
   bool IsWritable(const Extent& e) const { return !frozen_.Intersects(e); }
+
+  /// The Section 3.1 write rule: CHECK-fails unless `target` is writable.
+  void CheckWritable(const Extent& target) const;
+
+  /// The Section 3.1 rule for one move: the old copy must survive until the
+  /// next checkpoint, so `to` must be disjoint from its own source `from`
+  /// and writable. CHECK-fails otherwise.
+  void CheckMove(const Extent& from, const Extent& to) const;
 
   /// Completes a checkpoint: all previously frozen regions become writable.
   /// If a durability log is attached, the checkpoint record lands (and the

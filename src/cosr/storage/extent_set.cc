@@ -46,29 +46,6 @@ bool ExtentSet::Intersects(const Extent& e) const {
   return it != intervals_.end() && it->offset < e.end();
 }
 
-bool ExtentSet::IntersectsAnySorted(const std::vector<Extent>& sorted) const {
-  if (sorted.empty() || intervals_.empty()) return false;
-  // Skip intervals entirely below the batch, then sweep both sequences.
-  auto it = std::upper_bound(intervals_.begin(), intervals_.end(),
-                             sorted.front().offset,
-                             [](std::uint64_t value, const Interval& iv) {
-                               return value < iv.end;
-                             });
-  std::size_t i = 0;
-  while (it != intervals_.end() && i < sorted.size()) {
-    if (it->end <= sorted[i].offset) {
-      ++it;
-    } else if (sorted[i].end() <= it->offset) {
-      ++i;
-    } else if (sorted[i].empty()) {
-      ++i;  // zero-length extents intersect nothing
-    } else {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool ExtentSet::Contains(std::uint64_t address) const {
   return Intersects(Extent{address, 1});
 }

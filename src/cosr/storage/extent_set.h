@@ -14,14 +14,13 @@ namespace cosr {
 ///
 /// Internally a sorted vector of intervals rather than a std::map: the
 /// checkpoint-storm access pattern is bursts of Add (every move/delete
-/// freezes its source) against many Intersects probes (every write
-/// validates), then one bulk Clear per checkpoint. Binary searches over a
-/// contiguous array beat pointer-chasing tree walks on every one of those
-/// (bench/exp_checkpoints.cc measures the delta against the old map
-/// representation), and the probe-heavy sweep of IntersectsAnySorted
-/// becomes a linear scan over cache-resident entries. Add keeps O(n)
-/// worst-case memmove, but merge-on-insert keeps n at the count of
-/// *maximal* frozen runs, which checkpoint storms keep small.
+/// freezes its source) against many Intersects probes (every write,
+/// including every move of a batch, validates), then one bulk Clear per
+/// checkpoint. Binary searches over a contiguous array beat pointer-chasing
+/// tree walks on every one of those (bench/exp_checkpoints.cc measures the
+/// delta against the old map representation). Add keeps O(n) worst-case
+/// memmove, but merge-on-insert keeps n at the count of *maximal* frozen
+/// runs, which checkpoint storms keep small.
 class ExtentSet {
  public:
   /// Adds [e.offset, e.end()) to the set, merging with neighbors.
@@ -29,12 +28,6 @@ class ExtentSet {
 
   /// True when any part of `e` is in the set.
   bool Intersects(const Extent& e) const;
-
-  /// True when any of `sorted` intersects the set. The extents must be
-  /// disjoint and ascending by offset; the whole batch is answered with a
-  /// single merged sweep over the intervals instead of one probe per
-  /// extent (the batched-move validation path of AddressSpace).
-  bool IntersectsAnySorted(const std::vector<Extent>& sorted) const;
 
   /// True when the single address is in the set.
   bool Contains(std::uint64_t address) const;

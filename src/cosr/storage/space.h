@@ -81,9 +81,13 @@ class Space {
   /// Moves an existing object to `to` (length must match).
   virtual void Move(ObjectId id, const Extent& to) = 0;
 
-  /// Applies a batch of moves — the flush-storm fast path. Ids must be
-  /// distinct; no-op plans (target == current position) are skipped.
-  /// Listeners receive a single OnMoves with the applied records.
+  /// Applies a batch of moves: the plans in order, each under exactly
+  /// Move's checks. A plan may therefore reuse space that an earlier plan
+  /// of the batch vacated, except under a checkpoint manager, where that
+  /// space is frozen. Ids must be distinct (CHECKed: recovery replays each
+  /// record against the layout before the batch); no-op plans (target ==
+  /// current position) are skipped. Listeners receive a single OnMoves
+  /// with the applied records, in plan order.
   virtual void ApplyMoves(const MovePlan* plans, std::size_t count) = 0;
   void ApplyMoves(const std::vector<MovePlan>& plans) {
     ApplyMoves(plans.data(), plans.size());

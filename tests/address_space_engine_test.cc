@@ -2,10 +2,12 @@
 // test-local ordered-map reference model are driven through identical churn
 // traces (places, removes, single moves, batched move plans, checkpoints)
 // and must agree exactly on every query — mirroring tests/free_index_test.cc's
-// map-vs-binned pattern one layer down. Also covers the batch-specific
-// contracts: checkpoint-frozen-region violations still CHECK-fail under
-// ApplyMoves, listeners see one coherent OnMoves event per batch, and
-// sparse ids ride the overflow map.
+// map-vs-binned pattern one layer down. Also covers the batch contract:
+// ApplyMoves applies its plans in order under Move's checks (so
+// checkpoint-frozen-region violations CHECK-fail, a plan may not land on a
+// later member's source, and a simulated disk fed the batch keeps every
+// object's bytes), an id may appear once per batch, listeners see one
+// coherent OnMoves event per batch, and sparse ids ride the overflow map.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include "cosr/common/random.h"
 #include "cosr/storage/address_space.h"
 #include "cosr/storage/checkpoint_manager.h"
+#include "cosr/storage/simulated_disk.h"
 
 namespace cosr {
 namespace {
@@ -91,13 +94,19 @@ struct LiveObject {
 /// checkpoint) through the space and the reference model. Placements and
 /// move targets always come from fresh frontier space so the trace is valid
 /// under the checkpoint model too; occasional id jumps push the space into
-/// its sparse-overflow map. After every operation a random footprint_in
-/// range (sometimes starting or ending exactly at an object) is compared
-/// against the model's brute-force answer.
+/// its sparse-overflow map. Unmanaged runs also compact: a run of adjacent
+/// objects slides left into the gap before it, in offset order, so each
+/// plan reuses space its batch predecessors (or its own source) vacated.
+/// After every operation a random footprint_in range (sometimes starting or
+/// ending exactly at an object) is compared against the model's brute-force
+/// answer; at the end, a simulated disk that copied every move's bytes in
+/// event order must still hold every live object's bytes.
 void RunDifferentialChurn(std::uint64_t seed, bool checkpointed) {
   Rng rng(seed);
   CheckpointManager manager;
   AddressSpace space(checkpointed ? &manager : nullptr);
+  SimulatedDisk disk;
+  space.AddListener(&disk);
   ReferenceSpace model;
   std::vector<LiveObject> live;
   ObjectId next_id = 1;
@@ -143,6 +152,33 @@ void RunDifferentialChurn(std::uint64_t seed, bool checkpointed) {
       space.Move(live[k].id, to);
       model.Move(live[k].id, to);
       frontier += to.length;
+    } else if (!checkpointed && dice >= 90 && dice < 95) {
+      // Compaction-shaped batch: from a random object, find the next one
+      // with a gap before it and slide up to 16 adjacent objects left into
+      // that gap, packed in offset order (an empty plan when no gap
+      // follows).
+      const auto snapshot = space.Snapshot();
+      const auto end_before = [&](std::size_t j) -> std::uint64_t {
+        return j == 0 ? 0 : snapshot[j - 1].second.end();
+      };
+      std::size_t k =
+          static_cast<std::size_t>(rng.UniformU64(snapshot.size()));
+      while (k < snapshot.size() &&
+             snapshot[k].second.offset == end_before(k)) {
+        ++k;
+      }
+      std::vector<MovePlan> plan;
+      std::uint64_t cursor = end_before(k);
+      const std::size_t run =
+          static_cast<std::size_t>(rng.UniformRange(1, 16));
+      for (std::size_t j = k; j < snapshot.size() && j < k + run; ++j) {
+        plan.push_back(MovePlan{snapshot[j].first,
+                                {cursor, snapshot[j].second.length}});
+        cursor += snapshot[j].second.length;
+      }
+      space.ApplyMoves(plan);
+      model.ApplyMoves(plan);
+      ASSERT_EQ(space.Snapshot(), model.Snapshot()) << "op " << op;
     } else if (dice < 95) {
       // Batched move plan: up to 16 distinct objects to fresh space.
       const std::size_t want =
@@ -179,6 +215,9 @@ void RunDifferentialChurn(std::uint64_t seed, bool checkpointed) {
     }
   }
   ASSERT_EQ(space.Snapshot(), model.Snapshot());
+  for (const auto& [id, extent] : space.Snapshot()) {
+    ASSERT_TRUE(disk.VerifyObject(id, extent)) << "object " << id;
+  }
 }
 
 TEST(AddressSpaceEngineDifferentialTest, ChurnMatchesReferenceModel) {
@@ -291,6 +330,8 @@ TEST(ApplyMovesTest, ListenersSeeOneCoherentBatchEvent) {
 
 TEST(ApplyMovesTest, BatchMayReuseSpaceVacatedWithinTheBatch) {
   AddressSpace space;
+  SimulatedDisk disk;  // copies bytes record by record, in batch order
+  space.AddListener(&disk);
   space.Place(1, Extent{0, 10});
   space.Place(2, Extent{10, 10});
   // Compact-left shape: 1 slides away first, 2 takes its place.
@@ -299,6 +340,28 @@ TEST(ApplyMovesTest, BatchMayReuseSpaceVacatedWithinTheBatch) {
   EXPECT_EQ(space.extent_of(1), (Extent{50, 10}));
   EXPECT_EQ(space.extent_of(2), (Extent{0, 10}));
   EXPECT_TRUE(space.SelfCheck());
+  EXPECT_TRUE(disk.VerifyObject(1, space.extent_of(1)));
+  EXPECT_TRUE(disk.VerifyObject(2, space.extent_of(2)));
+}
+
+// The reverse order of the batch above: 2's target is 1's source while 1 is
+// still placed there. Applied in plan order (as listeners replay it), 2
+// would overwrite 1's bytes before 1 moves, so the batch must abort.
+TEST(ApplyMovesDeathTest, PlanLandingOnALaterMembersSourceAborts) {
+  AddressSpace space;
+  space.Place(1, Extent{0, 10});
+  space.Place(2, Extent{10, 10});
+  const std::vector<MovePlan> plan = {{2, {0, 10}}, {1, {50, 10}}};
+  EXPECT_DEATH(space.ApplyMoves(plan), "overlaps");
+}
+
+// Recovery checks every record's source against the layout before the
+// batch, so a batch that moves one object twice could not be replayed.
+TEST(ApplyMovesDeathTest, RepeatedIdAborts) {
+  AddressSpace space;
+  space.Place(1, Extent{0, 10});
+  const std::vector<MovePlan> plan = {{1, {50, 10}}, {1, {100, 10}}};
+  EXPECT_DEATH(space.ApplyMoves(plan), "moved twice");
 }
 
 TEST(ApplyMovesDeathTest, OverlappingTargetsAbort) {
@@ -325,8 +388,8 @@ TEST(ApplyMovesDeathTest, LengthMismatchAborts) {
 }
 
 // Checkpoint-frozen-region violations must still CHECK-fail when the moves
-// arrive as a batch (the once-per-batch validation may not weaken the
-// Section 3.1 durability rules).
+// arrive as a batch: each plan is checked under the Section 3.1 rules after
+// its batch predecessors froze their sources.
 TEST(ApplyMovesCheckpointDeathTest, BatchedWriteIntoFrozenRegionAborts) {
   CheckpointManager manager;
   AddressSpace space(&manager);

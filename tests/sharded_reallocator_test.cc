@@ -422,6 +422,54 @@ TEST(SubSpaceViewTest, SiblingFrozenRegionsAreIndependent) {
   a.Place(3, Extent{5, 5});
 }
 
+// A managed view checks a batch plan by plan under Move's rule, each plan
+// freezing its source in the shard's manager before the next is checked.
+TEST(SubSpaceViewBatchTest, PlanOntoAnEarlierPlansSourceDies) {
+  AddressSpace parent;
+  CheckpointManager manager;
+  SubSpaceView view(&parent, 500, 1000, &manager);
+  view.Place(1, Extent{0, 10});
+  view.Place(2, Extent{20, 10});
+  const std::vector<MovePlan> plan = {{1, {40, 10}}, {2, {5, 10}}};
+  EXPECT_DEATH(view.ApplyMoves(plan), "frozen");
+}
+
+TEST(SubSpaceViewBatchTest, SelfOverlappingPlanDies) {
+  AddressSpace parent;
+  CheckpointManager manager;
+  SubSpaceView view(&parent, 500, 1000, &manager);
+  view.Place(1, Extent{10, 10});
+  const std::vector<MovePlan> plan = {{1, {15, 10}}};
+  EXPECT_DEATH(view.ApplyMoves(plan), "overlapping move");
+}
+
+TEST(SubSpaceViewBatchTest, RepeatedIdDies) {
+  AddressSpace parent;
+  SubSpaceView view(&parent, 500, 1000);
+  view.Place(1, Extent{0, 10});
+  const std::vector<MovePlan> plan = {{1, {50, 10}}, {1, {100, 10}}};
+  EXPECT_DEATH(view.ApplyMoves(plan), "moved twice");
+}
+
+TEST(SubSpaceViewBatchTest, DisjointBatchFreezesOnlyThisShardsSources) {
+  AddressSpace parent;
+  CheckpointManager m1, m2;
+  SubSpaceView a(&parent, 0, 1000, &m1);
+  SubSpaceView b(&parent, 1000, 1000, &m2);
+  a.Place(1, Extent{0, 10});
+  a.Place(2, Extent{10, 10});
+  b.Place(3, Extent{0, 10});
+  const std::vector<MovePlan> plan = {{1, {100, 10}}, {2, {110, 10}}};
+  a.ApplyMoves(plan);
+  EXPECT_EQ(parent.extent_of(1), (Extent{100, 10}));
+  EXPECT_EQ(parent.extent_of(2), (Extent{110, 10}));
+  EXPECT_EQ(m1.frozen().ToVector(), (std::vector<Extent>{{0, 20}}));
+  EXPECT_EQ(m2.frozen_volume(), 0u);
+  b.Move(3, Extent{10, 10});  // b's local [0, 20) is not frozen by a's batch
+  EXPECT_TRUE(a.SelfCheck());
+  EXPECT_TRUE(b.SelfCheck());
+}
+
 // ------------------------------------------------------- factory plumbing
 
 TEST(ShardedFactoryTest, ShardCountKnobBuildsFacade) {
