@@ -42,21 +42,6 @@ Status CheckDurabilityPrecondition(const ReallocatorSpec& spec) {
       "recoverable prefix");
 }
 
-Status CheckShardGeometry(std::uint32_t shard_count,
-                          std::uint64_t subrange_span) {
-  if (shard_count == 0) {
-    return Status::InvalidArgument("shard_count must be >= 1");
-  }
-  if (subrange_span == 0 || subrange_span > ~std::uint64_t{0} / shard_count) {
-    return Status::InvalidArgument("subrange_span degenerate for K shards");
-  }
-  return Status::Ok();
-}
-
-bool AlgorithmInsertCanFailOnFreshId(const std::string& algorithm) {
-  return algorithm == "pma";
-}
-
 Status MakeReallocator(const ReallocatorSpec& spec, Space* space,
                        std::unique_ptr<Reallocator>* out) {
   if (space == nullptr || out == nullptr) {

@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "cosr/common/check.h"
-#include "cosr/durability/durability_hub.h"
-#include "cosr/realloc/factory.h"
 
 namespace cosr {
 
@@ -16,9 +14,6 @@ Status ConcurrentShardedReallocator::Make(
   if (out == nullptr) {
     return Status::InvalidArgument("out must be non-null");
   }
-  Status status = CheckShardGeometry(options.shard_count,
-                                     options.subrange_span);
-  if (!status.ok()) return status;
   if (options.worker_threads > options.shard_count) {
     return Status::InvalidArgument(
         "worker_threads must be <= shard_count (a shard is owned by "
@@ -27,76 +22,31 @@ Status ConcurrentShardedReallocator::Make(
   if (options.queue_capacity == 0) {
     return Status::InvalidArgument("queue_capacity must be >= 1");
   }
-  const bool needs_map =
-      RoutingNeedsPlacementMap(options.routing) || options.rebalance;
-  if (needs_map && AlgorithmInsertCanFailOnFreshId(inner_spec.algorithm)) {
-    // The placement map marks an id live at submit time; an inner
-    // algorithm that can then reject the insert on the shard would leave
-    // the map permanently claiming a ghost object — and a migration's
-    // destination insert has no submit-time rejection path at all.
-    return Status::FailedPrecondition(
-        inner_spec.algorithm +
-        " inserts can fail on the shard, which the submit-time id "
-        "placement map (map-keeping routing or rebalance) cannot "
-        "represent; use hash routing without rebalance");
-  }
-
-  status = CheckDurabilityPrecondition(inner_spec);
-  if (!status.ok()) return status;
-  DurabilityHub* durability = inner_spec.durability;
-
-  ReallocatorSpec spec = inner_spec;
-  spec.shard_count = 1;  // the facade is the only sharding layer
-  spec.worker_threads = 0;
-  spec.durability = nullptr;  // per-shard wiring happens here, not inside
-
   const std::uint32_t workers = options.worker_threads == 0
                                     ? options.shard_count
                                     : options.worker_threads;
 
   auto facade = std::unique_ptr<ConcurrentShardedReallocator>(
       new ConcurrentShardedReallocator(options));
-  facade->needs_routing_map_ = needs_map;
-  facade->shards_.reserve(options.shard_count);
-  facade->counters_ = std::vector<ShardCounters>(options.shard_count);
-  facade->latency_ = std::vector<ShardLatencyRecorders>(options.shard_count);
+  // Private roots (null parent): workers share no mutable storage state.
+  // Routes commit at submit time, before the worker runs the op.
+  COSR_RETURN_IF_ERROR(facade->shards_.Build(
+      inner_spec,
+      {.shard_count = options.shard_count,
+       .subrange_span = options.subrange_span,
+       .routing = options.routing,
+       .allow_migration = options.rebalance,
+       .commit_before_execution = true},
+      /*parent=*/nullptr));
   facade->dropped_ops_.assign(options.shard_count, 0);
-  if (needs_map) facade->stamped_requests_.assign(options.shard_count, 0);
-  if (options.routing == RoutingPolicy::kLeastLoaded) {
-    facade->predicted_volume_.assign(options.shard_count, 0);
+  if (facade->shards_.keeps_map()) {
+    facade->stamped_requests_.assign(options.shard_count, 0);
   }
-  for (std::uint32_t i = 0; i < options.shard_count; ++i) {
-    Shard shard;
-    // A private root per shard: the view is still based at i * span, so
-    // the physical layout matches the single-threaded facade's shared
-    // parent coordinate-for-coordinate, but workers share no mutable
-    // storage state.
-    shard.space = std::make_unique<AddressSpace>();
-    shard.remote = std::make_unique<RemoteQueue<Delivery>>();
-    if (AlgorithmNeedsCheckpointManager(spec.algorithm)) {
-      shard.manager = std::make_unique<CheckpointManager>();
-    }
-    shard.view = std::make_unique<SubSpaceView>(
-        shard.space.get(), std::uint64_t{i} * options.subrange_span,
-        options.subrange_span, shard.manager.get());
-    status = MakeReallocator(spec, shard.view.get(), &shard.inner);
-    if (!status.ok()) return status;
-    if (durability != nullptr) {
-      // Private roots see only their own shard's events (in based/global
-      // coordinates), so the log attaches directly — no range filter —
-      // and fires exclusively on the shard's owning worker thread.
-      MoveLog* log = durability->LogForShard(i);
-      shard.log = log;
-      shard.manager->AttachDurabilityLog(log);
-      shard.space->AddListener(log);
-    }
-    shard.worker = i % workers;
-    facade->shards_.push_back(std::move(shard));
-  }
+  facade->queues_ = std::vector<RemoteQueue<Delivery>>(options.shard_count);
   facade->name_ =
       "concurrent-sharded[" + std::to_string(options.shard_count) + "x" +
       std::to_string(workers) + "," + RoutingPolicyName(options.routing) +
-      (options.rebalance ? ",rebalance" : "") + "]/" + spec.algorithm;
+      (options.rebalance ? ",rebalance" : "") + "]/" + inner_spec.algorithm;
 
   facade->workers_.reserve(workers);
   for (std::uint32_t w = 0; w < workers; ++w) {
@@ -104,7 +54,7 @@ Status ConcurrentShardedReallocator::Make(
     facade->workers_.back()->last_ops.assign(options.shard_count, 0);
   }
   for (std::uint32_t i = 0; i < options.shard_count; ++i) {
-    facade->workers_[facade->shards_[i].worker]->owned_shards.push_back(i);
+    facade->OwnerOf(i).owned_shards.push_back(i);
   }
   // Start the threads only once every shard and queue exists.
   for (std::uint32_t w = 0; w < workers; ++w) {
@@ -185,18 +135,17 @@ Status ConcurrentShardedReallocator::SubmitBatch(
   // Each target shard's items, in op order: one delivery per shard.
   std::vector<std::vector<Item>> buckets(shard_count());
   const auto stage = [&](std::size_t i, std::uint32_t shard) {
-    Item item;
-    item.kind = ops[i].type == Request::Type::kInsert ? OpKind::kInsert
-                                                      : OpKind::kDelete;
-    item.shard = shard;
-    item.id = ops[i].id;
-    item.size = ops[i].size;
-    item.submit_ns = submit_ns;
-    if (tokens != nullptr) item.token = (*tokens)[i];
-    buckets[shard].push_back(std::move(item));
+    buckets[shard].push_back(
+        Item{.kind = ops[i].type == Request::Type::kInsert ? OpKind::kInsert
+                                                           : OpKind::kDelete,
+             .shard = shard,
+             .id = ops[i].id,
+             .size = ops[i].size,
+             .submit_ns = submit_ns,
+             .token = tokens != nullptr ? (*tokens)[i] : nullptr});
   };
 
-  if (!needs_routing_map_) {
+  if (!shards_.keeps_map()) {
     // Hash routing: no producer-side lock anywhere; each bucket is a
     // capacity-gated lock-free delivery. Per-op tracked submissions never
     // drop (a token must retire); everything else follows the policy.
@@ -238,8 +187,10 @@ Status ConcurrentShardedReallocator::SubmitBatch(
     std::lock_guard<std::mutex> lock(routing_mu_);
     for (std::size_t i = 0; i < count; ++i) {
       std::uint32_t shard = 0;
-      Status rejected = RouteLocked(ops[i], &shard);
+      Status rejected = shards_.Route(ops[i], &shard);
       if (rejected.ok()) {
+        shards_.Commit(ops[i], shard);
+        ++stamped_requests_[shard];
         stage(i, shard);
         continue;
       }
@@ -255,50 +206,17 @@ Status ConcurrentShardedReallocator::SubmitBatch(
     }
   }
   for (std::uint32_t s : targets) {
-    AwaitRoom(*workers_[shards_[s].worker], /*droppable=*/false);
+    AwaitRoom(OwnerOf(s), /*droppable=*/false);
   }
   if (accepted != nullptr) *accepted = delivered_total;
   return first_error;
-}
-
-Status ConcurrentShardedReallocator::RouteLocked(const Request& op,
-                                                 std::uint32_t* shard) {
-  if (op.type == Request::Type::kInsert) {
-    if (op.size == 0) return Status::InvalidArgument("size must be positive");
-    const std::uint32_t target = RouteInsertLocked(op.id, op.size);
-    if (!placement_.TryAssign(op.id, target)) {
-      return Status::AlreadyExists(
-          "object " + std::to_string(op.id) + " is live on shard " +
-          std::to_string(placement_.Lookup(op.id, shard_count())));
-    }
-    if (!predicted_volume_.empty()) {
-      predicted_volume_[target] += op.size;
-      sizes_.emplace(op.id, op.size);
-    }
-    *shard = target;
-  } else {
-    const std::uint32_t holder = placement_.Lookup(op.id, shard_count());
-    if (holder == shard_count()) {
-      return Status::NotFound("object " + std::to_string(op.id) +
-                              " is not live on any shard");
-    }
-    placement_.Erase(op.id);
-    if (!predicted_volume_.empty()) {
-      auto it = sizes_.find(op.id);
-      predicted_volume_[holder] -= it->second;
-      sizes_.erase(it);
-    }
-    *shard = holder;
-  }
-  ++stamped_requests_[*shard];
-  return Status::Ok();
 }
 
 void ConcurrentShardedReallocator::Push(std::uint32_t shard,
                                         std::vector<Item> items,
                                         bool batched) {
   COSR_CHECK(!items.empty());
-  Worker& worker = *workers_[shards_[shard].worker];
+  Worker& worker = OwnerOf(shard);
   // Counted before the push so a Flush that captures its target after
   // observing the push always waits for these ops; nothing blocks between
   // the increment and the push, so the target stays reachable.
@@ -311,7 +229,7 @@ void ConcurrentShardedReallocator::Push(std::uint32_t shard,
     node->value.items = std::move(items);
   }
   node->value.batched = batched;
-  if (shards_[shard].remote->Push(node)) {
+  if (queues_[shard].Push(node)) {
     // Empty -> non-empty is the only transition that can race a worker
     // going to sleep. The empty critical section pairs our release-push
     // with the worker's under-lock predicate check: either the worker
@@ -358,7 +276,7 @@ Status ConcurrentShardedReallocator::PushRemote(std::uint32_t shard,
                                                 std::vector<Item> items,
                                                 bool droppable, bool batched,
                                                 std::size_t* delivered) {
-  Worker& worker = *workers_[shards_[shard].worker];
+  Worker& worker = OwnerOf(shard);
   const std::size_t total = items.size();
   *delivered = 0;
   while (*delivered < total) {
@@ -425,21 +343,10 @@ Status ConcurrentShardedReallocator::Delete(ObjectId id) {
   return SubmitTracked(Request::Delete(id))->Wait();
 }
 
-std::uint64_t ConcurrentShardedReallocator::reserved_footprint() const {
-  return MergeShardCounters(counters_).reserved_footprint;
-}
-
-std::uint64_t ConcurrentShardedReallocator::volume() const {
-  return MergeShardCounters(counters_).volume;
-}
-
 void ConcurrentShardedReallocator::Quiesce() {
   Flush();
   for (std::uint32_t i = 0; i < shard_count(); ++i) {
-    Item item;
-    item.kind = OpKind::kQuiesce;
-    item.shard = i;
-    PushMarker(std::move(item));
+    PushMarker(Item{.kind = OpKind::kQuiesce, .shard = i});
   }
   Flush();
 }
@@ -447,35 +354,29 @@ void ConcurrentShardedReallocator::Quiesce() {
 void ConcurrentShardedReallocator::CheckpointAll() {
   Flush();
   for (std::uint32_t i = 0; i < shard_count(); ++i) {
-    if (shards_[i].manager == nullptr) continue;
-    Item item;
-    item.kind = OpKind::kCheckpoint;
-    item.shard = i;
-    PushMarker(std::move(item));
+    if (shards_.manager(i) != nullptr) {
+      PushMarker(Item{.kind = OpKind::kCheckpoint, .shard = i});
+    }
   }
   Flush();
 }
 
 ShardStats ConcurrentShardedReallocator::Stats() {
-  // Each shard is snapshotted *on its owning worker* by a marker op on
-  // the shard's remote queue: push order puts the marker behind every op
-  // any entry point submitted before this call,
-  // and only the owner ever touches the shard's mutable state, so the
-  // read is race-free even while other producers keep submitting (their
-  // later ops simply land behind the marker).
+  // Each shard is snapshotted *on its owning worker* by a marker behind
+  // every op submitted before this call. Only the owner touches the
+  // shard's state, so the read is race-free while other producers keep
+  // submitting (their later ops land behind the marker).
   std::vector<ShardStats::PerShard> per_shard(shard_count());
   std::vector<std::shared_ptr<OpToken>> tokens;
   tokens.reserve(shard_count());
   std::vector<std::uint64_t> max_end(shard_count(), 0);
   for (std::uint32_t i = 0; i < shard_count(); ++i) {
-    Item item;
-    item.kind = OpKind::kSnapshot;
-    item.shard = i;
-    item.snapshot_out = &per_shard[i];
-    item.max_end_out = &max_end[i];
-    item.token = std::make_shared<OpToken>();
-    tokens.push_back(item.token);
-    PushMarker(std::move(item));
+    tokens.push_back(std::make_shared<OpToken>());
+    PushMarker(Item{.kind = OpKind::kSnapshot,
+                    .shard = i,
+                    .token = tokens.back(),
+                    .snapshot_out = &per_shard[i],
+                    .max_end_out = &max_end[i]});
   }
   for (const auto& token : tokens) token->Wait();
 
@@ -490,8 +391,6 @@ ShardStats ConcurrentShardedReallocator::Stats() {
   }
   for (std::uint32_t i = 0; i < shard_count(); ++i) {
     stats.AddShard(per_shard[i]);
-    // Private roots hold based (global) coordinates, so the max of their
-    // footprints is the shared parent's literal footprint.
     stats.global_max_end = std::max(stats.global_max_end, max_end[i]);
   }
   return stats;
@@ -503,31 +402,19 @@ void ConcurrentShardedReallocator::AddShardListener(std::uint32_t index,
                  "AddShardListener must run before the first Insert/Delete "
                  "submission");
   COSR_CHECK_LT(index, shard_count());
-  shards_[index].space->AddListener(listener);
-}
-
-std::uint32_t ConcurrentShardedReallocator::RouteInsertLocked(
-    ObjectId id, std::uint64_t size) const {
-  if (!predicted_volume_.empty()) {
-    // Least-loaded: lowest predicted volume wins (lowest index breaking
-    // ties). Predicted — not the execution-side frontier gauge — so the
-    // decision is a pure function of the submission history, reproducible
-    // regardless of worker timing.
-    return LeastLoadedShard(predicted_volume_);
-  }
-  return shard_for(id, size);
+  shards_.space(index)->AddListener(listener);
 }
 
 void ConcurrentShardedReallocator::MaybeRebalance(Worker& worker) {
   // Plan over the relaxed footprint gauges: exact for this worker's own
   // shards (it wrote them), at-most-one-op stale for the rest — fine for
   // a heuristic that re-runs every check_interval cycles.
+  const std::vector<ShardCounters>& counters = shards_.counters();
   std::vector<ShardLoad> loads(shard_count());
   for (std::uint32_t i = 0; i < shard_count(); ++i) {
     loads[i].footprint =
-        counters_[i].reserved_footprint.load(std::memory_order_relaxed);
-    const std::uint64_t ops =
-        counters_[i].ops.load(std::memory_order_relaxed);
+        counters[i].reserved_footprint.load(std::memory_order_relaxed);
+    const std::uint64_t ops = counters[i].ops.load(std::memory_order_relaxed);
     loads[i].ops = ops - worker.last_ops[i];
     worker.last_ops[i] = ops;
   }
@@ -539,18 +426,17 @@ void ConcurrentShardedReallocator::MaybeRebalance(Worker& worker) {
                 plan.hot) == worker.owned_shards.end()) {
     return;
   }
-  Shard& hot = shards_[plan.hot];
-  // A source that would defer the physical remove (deamortized mid-flush)
-  // would leave the object placed on its private root while the
-  // destination re-places the same id — and would journal the remove
-  // after the destination's place, breaking the remove-before-place
-  // ordering the crash-consistency argument leans on. Wait it out.
-  if (!hot.inner->DeletesDetachImmediately()) return;
+  // A source that defers deletes (deamortized mid-flush) would journal
+  // the remove after the destination's place, breaking the
+  // remove-before-place order the crash-consistency argument leans on.
+  // MigrateOut refuses it; checking here first skips the snapshot.
+  if (!shards_.inner(plan.hot).DeletesDetachImmediately()) return;
   // The snapshot reads the hot shard's applied state — safe lock-free
   // because this thread is the only one that ever applies ops to it.
   const std::vector<std::pair<ObjectId, Extent>> victims =
-      SelectRebalanceVictims(hot.view->Snapshot(), options_.rebalance_options,
-                             hot.inner->reserved_footprint(),
+      SelectRebalanceVictims(shards_.view(plan.hot).Snapshot(),
+                             options_.rebalance_options,
+                             shards_.inner(plan.hot).reserved_footprint(),
                              loads[plan.cold].footprint,
                              plan.target_footprint);
   if (victims.empty()) return;
@@ -565,33 +451,32 @@ void ConcurrentShardedReallocator::MaybeRebalance(Worker& worker) {
   // counter was written by this very thread, so its relaxed read is
   // exact. When the gate fails, the next scan simply retries.
   if (stamped_requests_[plan.hot] !=
-      counters_[plan.hot].ops.load(std::memory_order_relaxed)) {
+      counters[plan.hot].ops.load(std::memory_order_relaxed)) {
     return;
   }
   std::vector<Item> arrivals;
   for (const std::pair<ObjectId, Extent>& victim : victims) {
     const ObjectId id = victim.first;
-    const std::uint64_t size = victim.second.length;
-    // Re-checked per victim: the previous victim's delete may itself have
-    // started a deferred flush.
-    if (!hot.inner->DeletesDetachImmediately()) break;
-    // Source side, executed inline on the owner: the remove journals on
-    // the hot shard's durability log like any other delete.
-    COSR_CHECK_OK(hot.inner->Delete(id));
-    counters_[plan.hot].RecordMigrateOut(size, hot.inner->volume(),
-                                         hot.inner->reserved_footprint());
-    placement_.Reassign(id, plan.hot, plan.cold);
-    if (!predicted_volume_.empty()) {
-      predicted_volume_[plan.hot] -= size;
-      predicted_volume_[plan.cold] += size;
+    // The gate above keeps the map in agreement with the applied state,
+    // so the source half runs on this worker's own shard.
+    COSR_CHECK_EQ(shards_.shard_of(id), plan.hot);
+    // Source half inline on the owner; the destination half is staged.
+    // Only the deferred-delete refusal can stop it: the previous
+    // victim's delete may itself have started a deferred flush.
+    const Status status =
+        shards_.MigrateOut(id, plan.cold, [&](std::uint64_t size) {
+          arrivals.push_back(Item{.kind = OpKind::kMigrateIn,
+                                  .shard = plan.cold,
+                                  .id = id,
+                                  .size = size});
+          return Status::Ok();
+        });
+    if (!status.ok()) {
+      COSR_CHECK(status.code() == StatusCode::kFailedPrecondition);
+      break;
     }
-    Item item;
-    item.kind = OpKind::kMigrateIn;
-    item.shard = plan.cold;
-    item.id = id;
-    item.size = size;
-    arrivals.push_back(std::move(item));
   }
+  if (arrivals.empty()) return;
   // Destination side: the kMigrateIn items, pushed onto the cold shard's
   // remote queue while routing_mu_ is still held — capacity-exempt (a
   // worker must never park on a producer-side backpressure wait), but
@@ -606,7 +491,7 @@ void ConcurrentShardedReallocator::MaybeRebalance(Worker& worker) {
 void ConcurrentShardedReallocator::WorkerLoop(Worker& worker) {
   const auto pending = [&] {
     for (std::uint32_t s : worker.owned_shards) {
-      if (!shards_[s].remote->empty()) return true;
+      if (!queues_[s].empty()) return true;
     }
     return false;
   };
@@ -625,13 +510,13 @@ void ConcurrentShardedReallocator::WorkerLoop(Worker& worker) {
     // op's end timestamp is the next op's start (they run back to back).
     std::uint64_t now = MonotonicNanos();
     for (std::uint32_t s : worker.owned_shards) {
-      auto* node = shards_[s].remote->TakeAll();
+      auto* node = queues_[s].TakeAll();
       while (node != nullptr) {
         const Delivery& delivery = node->value;
         const bool single = delivery.items.empty();
         const Item* item = single ? &delivery.single : delivery.items.data();
         const Item* end = single ? item + 1 : item + delivery.items.size();
-        if (delivery.batched) counters_[s].RecordRemoteBatch(end - item);
+        if (delivery.batched) shards_.counters(s).RecordRemoteBatch(end - item);
         for (; item != end; ++item) {
           now = ExecuteTimed(*item, now);
           // Release pairs with Flush's and AwaitRoom's acquire: once a
@@ -663,76 +548,33 @@ void ConcurrentShardedReallocator::WorkerLoop(Worker& worker) {
 }
 
 void ConcurrentShardedReallocator::ExecuteItem(const Item& item) {
-  Shard& shard = shards_[item.shard];
-  ShardCounters& counters = counters_[item.shard];
   Status status;
   switch (item.kind) {
     case OpKind::kInsert:
-      status = shard.inner->Insert(item.id, item.size);
-      counters.RecordOp(/*is_insert=*/true, status.ok(),
-                        shard.inner->volume(),
-                        shard.inner->reserved_footprint());
+      status = shards_.Execute(item.shard, Request::Insert(item.id, item.size));
       break;
     case OpKind::kDelete:
-      status = shard.inner->Delete(item.id);
-      counters.RecordOp(/*is_insert=*/false, status.ok(),
-                        shard.inner->volume(),
-                        shard.inner->reserved_footprint());
+      status = shards_.Execute(item.shard, Request::Delete(item.id));
       break;
     case OpKind::kQuiesce:
-      shard.inner->Quiesce();
-      counters.RefreshGauges(shard.inner->volume(),
-                             shard.inner->reserved_footprint());
+      shards_.Quiesce(item.shard);
       break;
     case OpKind::kCheckpoint:
-      // On the owning worker, like every other touch of the shard's state.
-      shard.view->Checkpoint();
+      shards_.Checkpoint(item.shard);
       break;
     case OpKind::kMigrateIn:
       // The destination half of a migration; the source's owner already
       // deleted the object and repointed the map. The insert cannot fail:
       // Make rejects inner algorithms whose inserts can fail on a fresh
-      // id whenever rebalancing is enabled. The place journals on this
-      // shard's durability log like any other insert.
-      COSR_CHECK_OK(shard.inner->Insert(item.id, item.size));
-      counters.RecordMigrateIn(shard.inner->volume(),
-                               shard.inner->reserved_footprint());
+      // id whenever rebalancing is enabled.
+      COSR_CHECK_OK(shards_.MigrateIn(item.shard, item.id, item.size));
       break;
-    case OpKind::kSnapshot: {
-      const ShardCountersSnapshot snapshot = ReadShardCounters(counters);
-      ShardStats::PerShard& per = *item.snapshot_out;
-      per.base = shard.view->base();
-      per.objects = shard.view->object_count();
-      per.volume = shard.view->live_volume();
-      per.reserved_footprint = shard.inner->reserved_footprint();
-      per.space_footprint = shard.view->footprint();
-      per.checkpoints =
-          shard.manager != nullptr ? shard.manager->checkpoint_count() : 0;
-      if (shard.log != nullptr) {
-        // Owning worker reading its own shard's sink — single-writer, so
-        // the sync/stall gauges are race-free here.
-        const LogSink& sink = *shard.log->sink();
-        per.log_syncs = sink.sync_count();
-        per.log_compactions = shard.log->compactions();
-        per.sync_wall_seconds = sink.sync_wall_seconds();
-        per.max_sync_stall_seconds = sink.max_sync_stall_seconds();
-      }
-      per.ops = snapshot.ops;
-      per.failed_ops = snapshot.failed_ops;
-      per.peak_reserved_footprint = snapshot.peak_reserved_footprint;
-      per.remote_batches = snapshot.remote_batches;
-      per.batched_ops = snapshot.batched_ops;
-      per.migrations = snapshot.migrations;
-      per.migrated_bytes = snapshot.migrated_bytes;
-      per.migrations_in = snapshot.migrations_in;
-      // Snapshotting on the owning worker is what makes these cross-bucket
-      // consistent with `ops` above: no tracked op can be mid-record here.
-      per.latency_total = latency_[item.shard].total.Snapshot();
-      per.latency_queue_wait = latency_[item.shard].queue_wait.Snapshot();
-      per.latency_service = latency_[item.shard].service.Snapshot();
-      *item.max_end_out = shard.space->footprint();
+    case OpKind::kSnapshot:
+      // On the owning worker, so no tracked op can be mid-record here and
+      // the counters, histograms and log gauges are mutually consistent.
+      *item.snapshot_out = shards_.Snapshot(item.shard);
+      *item.max_end_out = shards_.root_footprint(item.shard);
       break;
-    }
   }
   if (item.token != nullptr) item.token->Complete(std::move(status));
 }
@@ -747,7 +589,7 @@ std::uint64_t ConcurrentShardedReallocator::ExecuteTimed(
   ExecuteItem(item);
   if (!tracked) return MonotonicNanos();
   const std::uint64_t end_ns = MonotonicNanos();
-  ShardLatencyRecorders& lat = latency_[item.shard];
+  ShardLatencyRecorders& lat = shards_.latency(item.shard);
   // queue_wait spans submit stamp -> execution start, so it includes any
   // backpressure stall the producer ate before its push, not just the time
   // the item sat in a queue.

@@ -10,16 +10,15 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "cosr/common/status.h"
 #include "cosr/common/types.h"
 #include "cosr/realloc/reallocator.h"
-#include "cosr/service/id_placement_map.h"
 #include "cosr/service/remote_queue.h"
 #include "cosr/service/routing.h"
 #include "cosr/service/shard_rebalancer.h"
+#include "cosr/service/shard_set.h"
 #include "cosr/service/shard_stats.h"
 #include "cosr/service/sub_space_view.h"
 #include "cosr/storage/address_space.h"
@@ -67,21 +66,17 @@ class OpToken {
   bool done_ = false;
 };
 
-/// The concurrent execution mode of the service layer: K shards as in
-/// ShardedReallocator, but each shard's inner reallocator is driven by one
-/// of W worker threads over the shard's lock-free MPSC remote queue, so the
-/// K reallocators genuinely run in parallel.
+/// The threaded executor over the shard core (ShardSet): each shard's
+/// inner reallocator is driven by one of W worker threads over the shard's
+/// lock-free MPSC remote queue, so the K reallocators run in parallel.
 ///
-/// Why that is sound: the source paper's guarantees are per-allocator, and
-/// the shards' sub-problems are disjoint by construction. In concurrent
-/// mode each shard owns a *private* AddressSpace root; its SubSpaceView is
-/// still based at shard * subrange_span, so every physical coordinate,
-/// placement decision, and per-shard footprint is identical to the
-/// single-threaded facade over one shared parent (pinned op-for-op by
-/// `exp_concurrent --smoke` and tests/concurrent_sharded_test.cc) — but no
-/// two threads ever touch the same mutable storage state, so no cross-shard
-/// locking exists anywhere on the hot path. The memory price is K private
-/// slot tables instead of one shared one.
+/// Why that is sound: the paper's guarantees are per-allocator, and the
+/// shards' sub-problems are disjoint. Each shard here sits on a *private*
+/// AddressSpace root, still based at shard * subrange_span, so every
+/// coordinate, placement and footprint matches the single-threaded facade
+/// over one shared parent (pinned op-for-op by `exp_concurrent --smoke`
+/// and tests/concurrent_sharded_test.cc), while no two threads touch the
+/// same storage state. The price is K private slot tables instead of one.
 ///
 /// Thread-safety contract, per surface:
 ///   * Submit / SubmitTracked / Insert / Delete / SubmitMany /
@@ -222,8 +217,10 @@ class ConcurrentShardedReallocator final : public Reallocator {
 
   /// Merged relaxed view of the per-shard accumulators (exact once
   /// drained; a consistent running sum at any other time).
-  std::uint64_t reserved_footprint() const override;
-  std::uint64_t volume() const override;
+  std::uint64_t reserved_footprint() const override {
+    return shards_.reserved_footprint();
+  }
+  std::uint64_t volume() const override { return shards_.volume(); }
 
   /// Drains, then runs every shard's deferred work on its own worker.
   void Quiesce() override;
@@ -244,9 +241,7 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// shard's worker thread.
   void AddShardListener(std::uint32_t index, SpaceListener* listener);
 
-  std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
+  std::uint32_t shard_count() const { return shards_.shard_count(); }
   std::uint32_t worker_threads() const {
     return static_cast<std::uint32_t>(workers_.size());
   }
@@ -255,31 +250,31 @@ class ConcurrentShardedReallocator final : public Reallocator {
   /// The static routing prediction for an (id, size) insert. For
   /// kLeastLoaded this is only the hash fallback: the live decision
   /// happens under routing_mu_ at submit time, over the shards'
-  /// predicted volumes (see RouteInsertLocked).
+  /// committed volumes (ShardSet::shard_for).
   std::uint32_t shard_for(ObjectId id, std::uint64_t size) const {
     return RouteToShard(options_.routing, shard_count(), id, size);
   }
 
   /// Quiesced-read accessors (Flush first; see the class contract).
   const Reallocator& shard(std::uint32_t index) const {
-    return *shards_[index].inner;
+    return shards_.inner(index);
   }
   const SubSpaceView& shard_view(std::uint32_t index) const {
-    return *shards_[index].view;
+    return shards_.view(index);
   }
   const AddressSpace& shard_space(std::uint32_t index) const {
-    return *shards_[index].space;
+    return *shards_.space(index);
   }
   /// Shard `index`'s CheckpointManager (nullptr for unmanaged algorithms).
   /// Mutating it (e.g. SetCheckpointHook) must happen before the first
   /// Insert/Delete submission, like AddShardListener; hooks then fire on
   /// the shard's owning worker thread.
   CheckpointManager* shard_manager(std::uint32_t index) const {
-    return shards_[index].manager.get();
+    return shards_.manager(index);
   }
   /// Any-time read: the shard's accumulator block.
   const ShardCounters& counters(std::uint32_t index) const {
-    return counters_[index];
+    return shards_.counters()[index];
   }
 
  private:
@@ -289,11 +284,10 @@ class ConcurrentShardedReallocator final : public Reallocator {
     kQuiesce,
     kCheckpoint,
     kSnapshot,
-    /// A migrated object arriving on its destination shard. Pushed by the
-    /// SOURCE shard's owner onto the destination shard's remote queue
-    /// (capacity-exempt) under routing_mu_, so it is ordered before any
-    /// later-submitted op for the same id (which must route through the
-    /// already-repointed map).
+    /// A migrated object arriving on its destination shard, pushed by the
+    /// source shard's owner under routing_mu_ (capacity-exempt), so it
+    /// precedes any later op for the id, which routes through the
+    /// already-repointed map.
     kMigrateIn,
   };
 
@@ -302,15 +296,13 @@ class ConcurrentShardedReallocator final : public Reallocator {
     std::uint32_t shard = 0;
     ObjectId id = kInvalidObjectId;
     std::uint64_t size = 0;
-    /// Insert/delete only: MonotonicNanos() at submit time, taken BEFORE
-    /// any routing or backpressure wait, so the recorded queue-wait
-    /// includes producer-side backpressure stalls (one stamp per
-    /// submission call). Zero for internal markers, which are never tracked.
+    /// Insert/delete only: MonotonicNanos() at submit time, taken before
+    /// any routing or backpressure wait (one stamp per submission call),
+    /// so queue-wait includes producer-side backpressure stalls.
     std::uint64_t submit_ns = 0;
-    std::shared_ptr<OpToken> token;  // null for fire-and-forget
+    std::shared_ptr<OpToken> token = nullptr;  // null: fire-and-forget
     /// kSnapshot only: where the owning worker writes the shard's stats
-    /// and its private root's global footprint. Must outlive the op
-    /// (Stats() waits on the token before reading).
+    /// and its root's footprint; Stats() waits on the token to read them.
     ShardStats::PerShard* snapshot_out = nullptr;
     std::uint64_t* max_end_out = nullptr;
   };
@@ -321,26 +313,7 @@ class ConcurrentShardedReallocator final : public Reallocator {
   struct Delivery {
     Item single;
     std::vector<Item> items;
-    /// SubmitMany/SubmitManyTracked deliveries only: counted in the
-    /// shard's remote_batches / batched_ops when drained.
-    bool batched = false;
-  };
-
-  struct Shard {
-    std::unique_ptr<AddressSpace> space;  // private root, based coordinates
-    std::unique_ptr<CheckpointManager> manager;  // managed algorithms only
-    std::unique_ptr<SubSpaceView> view;
-    std::unique_ptr<Reallocator> inner;
-    /// The shard's durability log (hub-owned; null without a hub). Read
-    /// only by the owning worker (the kSnapshot marker surfaces its sync
-    /// counters into Stats() race-free).
-    class MoveLog* log = nullptr;
-    std::uint32_t worker = 0;
-    /// The shard's lock-free remote queue, the only way items reach it:
-    /// any thread pushes, only the owning worker takes. Behind a pointer
-    /// only because the atomic head would otherwise pin Shard as
-    /// immovable; allocated once in Make, never null afterwards.
-    std::unique_ptr<RemoteQueue<Delivery>> remote;
+    bool batched = false;  // SubmitMany*: counted in remote_batches
   };
 
   /// One worker: its owned shards plus drain accounting. `stop` is
@@ -358,109 +331,81 @@ class ConcurrentShardedReallocator final : public Reallocator {
     std::vector<std::uint32_t> owned_shards;
     std::thread thread;
     /// Rebalance pacing (worker thread only): drain cycles since the last
-    /// scan, and each shard's op total at the previous scan (op-rate
-    /// deltas for RebalanceOptions::hot_op_ratio).
+    /// scan, and each shard's op total at the previous scan.
     std::uint64_t drain_cycles = 0;
     std::vector<std::uint64_t> last_ops;
   };
 
   ConcurrentShardedReallocator(const Options& options) : options_(options) {}
 
-  /// The one submission routine: routing, submit-time validation and
-  /// delivery for every entry point (a per-op call is a one-op batch with
-  /// `per_op` set: its tracked form never drops, and it is not counted as
-  /// a remote batch). Returns the first non-ok status in op order;
-  /// `*accepted` (when non-null) reports how many ops were enqueued.
+  /// Shard i is pinned to worker i % W.
+  Worker& OwnerOf(std::uint32_t shard) {
+    return *workers_[shard % workers_.size()];
+  }
+
+  /// The one submission routine behind every entry point: routing,
+  /// submit-time validation and delivery. A per-op call is a one-op batch
+  /// with `per_op` set: its tracked form never drops, and it is not
+  /// counted as a remote batch.
   Status SubmitBatch(const Request* ops, std::size_t count,
                      std::vector<std::shared_ptr<OpToken>>* tokens,
                      std::size_t* accepted, bool per_op);
-  /// Map-keeping routing of one insert/delete, routing_mu_ held:
-  /// validates against the placement map, updates it (and the
-  /// least-loaded prediction) and stamps the target shard. A non-ok
-  /// return leaves every structure untouched.
-  Status RouteLocked(const Request& op, std::uint32_t* shard);
-  /// The lock-free delivery step: counts `items` into the owning worker's
-  /// `pushed`, pushes them as one node onto `shard`'s remote queue, and
-  /// wakes the owner on the empty -> non-empty transition. Never blocks.
+  /// The lock-free delivery step: counts `items` into the owner's
+  /// `pushed`, pushes them as one node and wakes the owner on the
+  /// empty -> non-empty transition. Never blocks.
   void Push(std::uint32_t shard, std::vector<Item> items, bool batched);
   /// Blocks until `worker` is below its in-flight bound and returns the
   /// room left; with `droppable` the wait is the bounded-retry policy
   /// and 0 means the retries ran out.
   std::size_t AwaitRoom(Worker& worker, bool droppable);
-  /// Capacity-gated Push of `items` (in order), chunked to the room
-  /// observed so a bounded-retry drop leaves exactly an undelivered
-  /// suffix. The drop is counted per shard and any suffix tokens
-  /// (carried inside the items) complete with the drop status, which is
-  /// also returned. `*delivered` reports how many leading items were
-  /// pushed.
+  /// Capacity-gated Push, chunked to the room observed so a bounded-retry
+  /// drop leaves exactly an undelivered suffix, counted per shard, whose
+  /// tokens complete with the returned drop status.
   Status PushRemote(std::uint32_t shard, std::vector<Item> items,
                     bool droppable, bool batched, std::size_t* delivered);
   /// Capacity-gated, never-dropping delivery of one internal marker.
   void PushMarker(Item item);
   void WorkerLoop(Worker& worker);
   void ExecuteItem(const Item& item);
-  /// ExecuteItem plus latency accounting for tracked (insert/delete)
-  /// items: `start_ns` is when this item's execution began on the worker
-  /// (queue-wait = start - submit stamp; service = the inner call alone).
-  /// Returns the post-execution clock so the drain loop chains one
-  /// MonotonicNanos() call per op instead of two.
+  /// ExecuteItem plus latency accounting for insert/delete items, started
+  /// at `start_ns`. Returns the post-execution clock, so the drain loop
+  /// reads the clock once per op.
   std::uint64_t ExecuteTimed(const Item& item, std::uint64_t start_ns);
-  /// The live routing decision for a map-kept insert; routing_mu_ held.
-  /// kLeastLoaded routes to the shard with the lowest predicted volume
-  /// (deterministic in submission order — independent of worker timing);
-  /// every other policy defers to shard_for.
-  std::uint32_t RouteInsertLocked(ObjectId id, std::uint64_t size) const;
-  /// One background rebalance scan (worker thread): plan over the relaxed
-  /// footprint gauges, and when `worker` owns the hot shard, migrate a
-  /// bounded victim batch to the cold shard. See the .cc for the safety
-  /// argument (the pending-ops gate under routing_mu_).
+  /// One background rebalance scan on `worker`: when it owns the hot
+  /// shard, migrate a bounded victim batch to the cold shard.
   void MaybeRebalance(Worker& worker);
 
   Options options_;
-  std::vector<Shard> shards_;
-  std::vector<ShardCounters> counters_;  // parallel to shards_
-  /// Per-shard latency histograms (parallel to shards_), written only by
-  /// the owning worker inside ExecuteTimed — the ShardCounters
-  /// single-writer discipline — and surfaced through the Stats() snapshot
-  /// marker so the merged read is race-free.
-  std::vector<ShardLatencyRecorders> latency_;
+  /// The shards over private roots. Every per-shard call, counters and
+  /// latency recorders included, runs on the shard's owning worker, and
+  /// Stats() reads them through the snapshot marker.
+  ShardSet shards_;
+  /// Each shard's lock-free remote queue, the only way items reach it:
+  /// any thread pushes, only the owning worker takes.
+  std::vector<RemoteQueue<Delivery>> queues_;
   std::vector<std::unique_ptr<Worker>> workers_;
 
   /// Map-keeping modes only (size-class or least-loaded routing, or
-  /// rebalance enabled): id -> shard, maintained at submit time (deletes
-  /// cannot re-derive their shard; migrated ids' hashes are stale).
-  /// routing_mu_ — the one producer-side serialization point, and only
-  /// for these modes — covers the map update AND the lock-free push of
-  /// the routed items. Order proof: routing_mu_ totally orders map
-  /// updates, each hold pushes its items before releasing, and a shard's
-  /// remote queue hands them to the worker in push order. Hence per-shard
-  /// execution order == map-update order, the invariant that makes the
-  /// map exact. Nothing blocks under the lock (a push is a CAS plus, on
-  /// the empty -> non-empty edge, a brief worker.mu hold — lock order
-  /// routing_mu_ before worker.mu); backpressure is taken after release,
-  /// because MaybeRebalance takes this lock on a worker.
+  /// rebalance): the one producer-side serialization point. It covers
+  /// the core's Route/Commit pair AND the lock-free push of the routed
+  /// items. Order proof: the lock totally orders map updates, each hold
+  /// pushes its items before releasing, and a shard's queue hands them to
+  /// the worker in push order, so per-shard execution order == map order,
+  /// which keeps the map exact. Nothing blocks under the lock (a push is
+  /// a CAS plus, on the empty -> non-empty edge, a brief worker.mu hold:
+  /// lock order routing_mu_ before worker.mu); backpressure is taken
+  /// after release, because MaybeRebalance takes this lock on a worker.
   std::mutex routing_mu_;
-  IdPlacementMap placement_;
-  bool needs_routing_map_ = false;
-  /// kLeastLoaded only, guarded by routing_mu_: each shard's predicted
-  /// live volume (sum of the sizes routed there minus the sizes deleted/
-  /// migrated away) — the submit-time load signal RouteInsertLocked
-  /// minimizes — plus the live objects' sizes (deletes must give their
-  /// volume back).
-  std::vector<std::uint64_t> predicted_volume_;
-  std::unordered_map<ObjectId, std::uint64_t> sizes_;
   /// Map-keeping modes only, guarded by routing_mu_: per-shard count of
-  /// stamped insert/delete submissions. A shard's owner compares it
-  /// against its executed-op counter to detect in-flight ops (the
-  /// rebalancer's safety gate).
+  /// committed insert/delete submissions. The owner compares it with its
+  /// executed-op counter to detect in-flight ops (the rebalancer's gate).
   std::vector<std::uint64_t> stamped_requests_;
 
   /// Count of real (insert/delete) submissions — the AddShardListener
-  /// gate; internal quiesce/snapshot markers do not count.
+  /// gate; internal markers do not count.
   std::atomic<std::uint64_t> requests_submitted_{0};
 
-  /// Drop accounting for the bounded-retry Submit policy. Cold path only
-  /// (a drop means the retries already burned their backoff budget), so a
+  /// Drop accounting for the bounded-retry policy. Cold path only, so a
   /// plain mutex keeps ShardCounters' single-writer discipline intact.
   mutable std::mutex drop_mu_;
   std::vector<std::uint64_t> dropped_ops_;  // per shard

@@ -39,8 +39,10 @@ namespace cosr {
 /// Thread-safety: Push and empty() from any thread; TakeAll from the one
 /// owning consumer only (concurrent TakeAll calls would both be "the"
 /// owner — the single-consumer half of MPSC is the caller's contract).
+/// Each queue fills its own cache line, so queues laid out side by side
+/// never false-share a head between one shard's pushes and another's take.
 template <typename T>
-class RemoteQueue {
+class alignas(64) RemoteQueue {
  public:
   struct Node {
     explicit Node(T payload) : value(std::move(payload)) {}

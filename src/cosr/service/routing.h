@@ -1,9 +1,7 @@
 #ifndef COSR_SERVICE_ROUTING_H_
 #define COSR_SERVICE_ROUTING_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "cosr/common/types.h"
 
@@ -21,29 +19,17 @@ enum class RoutingPolicy {
   /// Sheffield 2024; Jin 2026): per-size-class sub-problems whose costs
   /// add.
   kSizeClass,
-  /// Load-aware: route each insert to the shard with the lowest current
-  /// load score (frontier / reserved footprint, plus a queue-depth penalty
-  /// on the concurrent facade). Not a pure function of (id, size) — the
-  /// facades consult live ShardStats and keep an id -> shard placement map
-  /// so deletes still resolve. This is what keeps skewed (multi-tenant,
-  /// Zipf) workloads from concentrating footprint on one hot shard.
+  /// Load-aware: route each insert to the shard with the lowest live
+  /// volume, the sum of the sizes committed there (lowest index breaking
+  /// ties), on both facades. Not a pure function of (id, size), so the
+  /// shard core keeps an id -> shard placement map for deletes. This is
+  /// what keeps skewed (multi-tenant, Zipf) workloads from concentrating
+  /// footprint on one hot shard.
   kLeastLoaded,
 };
 
 /// Display name: "hash" / "size-class" / "least-loaded".
 const char* RoutingPolicyName(RoutingPolicy routing);
-
-/// Whether a policy's routing decision can be re-derived from the id alone
-/// (deletes carry no size). Policies for which this is false force the
-/// facade to maintain an IdPlacementMap.
-inline bool RoutingNeedsPlacementMap(RoutingPolicy routing) {
-  return routing != RoutingPolicy::kHashId;
-}
-
-/// The kLeastLoaded argmin, shared by both facades and their tests: the
-/// index of the smallest load score, lowest index winning ties (so the
-/// choice is deterministic given the scores). `loads` must be non-empty.
-std::uint32_t LeastLoadedShard(const std::vector<std::uint64_t>& loads);
 
 /// How ConcurrentShardedReallocator delivers ops to the shards' workers.
 /// One value: every op rides the per-shard lock-free RemoteQueues (see
@@ -52,11 +38,11 @@ enum class SubmitPath {
   kRemoteBatched,
 };
 
-/// The static routing function, shared by the facades and their tests:
+/// The static routing function, shared by the shard core and the tests:
 /// which of `shard_count` shards an (id, size) insert goes to.
 /// Thread-safe: pure function of its arguments. kLeastLoaded falls back to
-/// the hash spray here — its real decision needs live load scores, which
-/// only the owning facade has (it calls LeastLoadedShard instead).
+/// the hash spray here — its real decision needs the committed volumes,
+/// which only the shard core has (ShardSet::shard_for).
 std::uint32_t RouteToShard(RoutingPolicy routing, std::uint32_t shard_count,
                            ObjectId id, std::uint64_t size);
 

@@ -13,13 +13,15 @@
 namespace cosr {
 
 /// Aggregated accounting of a sharded facade (single-threaded or
-/// concurrent): the per-shard breakdown plus the two global footprint views
-/// the service layer reports.
+/// concurrent): the per-shard breakdown, filled by ShardSet::Snapshot,
+/// plus the two global footprint views the service layer reports.
 ///
-/// Thread-compatible: a plain value snapshot. Produce it from a quiesced
-/// facade (ShardedReallocator::Stats(), or
-/// ConcurrentShardedReallocator::Stats() which drains first) and share the
-/// copy freely.
+/// Thread-compatible: a plain value snapshot, shared freely once made.
+/// ShardedReallocator::Stats() reads the shards inline.
+/// ConcurrentShardedReallocator::Stats() does not drain: it snapshots each
+/// shard on its owning worker through a marker that follows every op
+/// submitted before the call, so it is exact only once the facade is
+/// quiesced.
 struct ShardStats {
   struct PerShard {
     std::uint64_t base = 0;  // global offset of the shard's sub-range
@@ -41,14 +43,14 @@ struct ShardStats {
     std::uint64_t log_compactions = 0;
     double sync_wall_seconds = 0.0;
     double max_sync_stall_seconds = 0.0;
-    /// Request-level counters (concurrent facade only; zero elsewhere).
+    /// Routed insert/delete requests the shard executed, and how many of
+    /// them the inner reallocator refused (both facades).
     std::uint64_t ops = 0;
     std::uint64_t failed_ops = 0;
     /// Fire-and-forget submissions dropped by the bounded-retry overflow
     /// policy (concurrent facade with submit_max_retries > 0 only).
     std::uint64_t dropped_ops = 0;
-    /// Peak of the shard's reserved footprint over its own op stream
-    /// (concurrent facade only; zero elsewhere).
+    /// Peak of the shard's reserved footprint over its own op stream.
     std::uint64_t peak_reserved_footprint = 0;
     /// Batched-submission accounting (concurrent facade only): SubmitMany
     /// batches the owning worker drained from this shard's RemoteQueue,

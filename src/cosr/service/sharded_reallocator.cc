@@ -1,9 +1,7 @@
 #include "cosr/service/sharded_reallocator.h"
 
+#include <algorithm>
 #include <utility>
-
-#include "cosr/common/check.h"
-#include "cosr/durability/durability_hub.h"
 
 namespace cosr {
 
@@ -13,243 +11,72 @@ Status ShardedReallocator::Make(const ReallocatorSpec& inner_spec,
   if (parent == nullptr || out == nullptr) {
     return Status::InvalidArgument("parent and out must be non-null");
   }
-  Status status = CheckShardGeometry(options.shard_count,
-                                     options.subrange_span);
-  if (!status.ok()) return status;
-  if (parent->checkpoint_manager() != nullptr) {
-    return Status::FailedPrecondition(
-        "sharded parent space must not carry a CheckpointManager; each "
-        "shard scopes its own");
-  }
-
-  status = CheckDurabilityPrecondition(inner_spec);
-  if (!status.ok()) return status;
-  DurabilityHub* durability = inner_spec.durability;
-
-  ReallocatorSpec spec = inner_spec;
-  spec.shard_count = 1;  // the facade is the only sharding layer
-  spec.durability = nullptr;  // per-shard wiring happens here, not inside
-
-  auto sharded = std::unique_ptr<ShardedReallocator>(
-      new ShardedReallocator(options, parent));
-  sharded->needs_shard_map_ =
-      RoutingNeedsPlacementMap(options.routing) || options.allow_migration;
-  sharded->counters_.assign(options.shard_count, LocalCounters{});
-  sharded->latency_ = std::vector<ShardLatencyRecorders>(options.shard_count);
-  sharded->shards_.reserve(options.shard_count);
-  for (std::uint32_t i = 0; i < options.shard_count; ++i) {
-    Shard shard;
-    if (AlgorithmNeedsCheckpointManager(spec.algorithm)) {
-      shard.manager = std::make_unique<CheckpointManager>();
-    }
-    shard.view = std::make_unique<SubSpaceView>(
-        parent, std::uint64_t{i} * options.subrange_span,
-        options.subrange_span, shard.manager.get());
-    status = MakeReallocator(spec, shard.view.get(), &shard.inner);
-    if (!status.ok()) return status;
-    if (durability != nullptr) {
-      // The parent's listener stream interleaves every shard's events;
-      // scope log i to sub-range i. Checkpoint records flow through the
-      // shard's own manager instead (the parent's OnCheckpoint fan-out
-      // cannot attribute a checkpoint to a shard).
-      MoveLog* log = durability->LogForShard(i);
-      shard.log = log;
-      shard.manager->AttachDurabilityLog(log);
-      const std::uint64_t base = std::uint64_t{i} * options.subrange_span;
-      sharded->log_scopes_.push_back(std::make_unique<RangeScopedListener>(
-          log, base, base + options.subrange_span));
-      parent->AddListener(sharded->log_scopes_.back().get());
-    }
-    sharded->shards_.push_back(std::move(shard));
-  }
+  auto sharded = std::unique_ptr<ShardedReallocator>(new ShardedReallocator());
+  COSR_RETURN_IF_ERROR(sharded->shards_.Build(
+      inner_spec,
+      {.shard_count = options.shard_count,
+       .subrange_span = options.subrange_span,
+       .routing = options.routing,
+       .allow_migration = options.allow_migration},
+      parent));
   sharded->name_ = "sharded[" + std::to_string(options.shard_count) + "," +
-                   RoutingPolicyName(options.routing) + "]/" + spec.algorithm;
+                   RoutingPolicyName(options.routing) + "]/" +
+                   inner_spec.algorithm;
   *out = std::move(sharded);
   return Status::Ok();
 }
 
-ShardedReallocator::~ShardedReallocator() {
-  for (const std::unique_ptr<RangeScopedListener>& scope : log_scopes_) {
-    parent_->RemoveListener(scope.get());
-  }
-}
-
-std::uint32_t ShardedReallocator::shard_for(ObjectId id,
-                                            std::uint64_t size) const {
-  if (options_.routing == RoutingPolicy::kLeastLoaded && shard_count() > 1) {
-    // Live argmin over the shards' volumes (see the header for why volume,
-    // not frontier) — no allocation, K is small.
-    std::uint32_t best = 0;
-    std::uint64_t best_load = shards_[0].inner->volume();
-    for (std::uint32_t i = 1; i < shard_count(); ++i) {
-      const std::uint64_t load = shards_[i].inner->volume();
-      if (load < best_load) {
-        best = i;
-        best_load = load;
-      }
-    }
-    return best;
-  }
-  return RouteToShard(options_.routing, shard_count(), id, size);
+Status ShardedReallocator::Run(const Request& op) {
+  owner_fence_.Assert("ShardedReallocator");
+  std::uint32_t target = 0;
+  COSR_RETURN_IF_ERROR(shards_.Route(op, &target));
+  const std::uint64_t start_ns = MonotonicNanos();
+  Status status = shards_.Execute(target, op);
+  const std::uint64_t elapsed =
+      SaturatingElapsed(MonotonicNanos(), start_ns);
+  ShardLatencyRecorders& latency = shards_.latency(target);
+  latency.total.Record(elapsed);
+  latency.service.Record(elapsed);
+  if (status.ok()) shards_.Commit(op, target);
+  return status;
 }
 
 Status ShardedReallocator::Insert(ObjectId id, std::uint64_t size) {
-  owner_fence_.Assert("ShardedReallocator");
-  if (needs_shard_map_) {
-    // A live duplicate may be parked on a *different* shard (same id,
-    // different size class or load), which that shard's reallocator cannot
-    // detect.
-    const std::uint32_t holder = placement_.Lookup(id, shard_count());
-    if (holder != shard_count()) {
-      return Status::AlreadyExists("object " + std::to_string(id) +
-                                   " is live on shard " +
-                                   std::to_string(holder));
-    }
-  }
-  const std::uint32_t target = shard_for(id, size);
-  const std::uint64_t start_ns = MonotonicNanos();
-  Status status = shards_[target].inner->Insert(id, size);
-  const std::uint64_t elapsed =
-      SaturatingElapsed(MonotonicNanos(), start_ns);
-  latency_[target].total.Record(elapsed);
-  latency_[target].service.Record(elapsed);
-  ++counters_[target].ops;
-  if (status.ok() && needs_shard_map_) placement_.TryAssign(id, target);
-  return status;
+  return Run(Request::Insert(id, size));
 }
 
 Status ShardedReallocator::Delete(ObjectId id) {
-  owner_fence_.Assert("ShardedReallocator");
-  std::uint32_t target;
-  if (needs_shard_map_) {
-    target = placement_.Lookup(id, shard_count());
-    if (target == shard_count()) {
-      return Status::NotFound("object " + std::to_string(id) +
-                              " is not live on any shard");
-    }
-  } else {
-    target = shard_for(id, /*size=*/0);
-  }
-  const std::uint64_t start_ns = MonotonicNanos();
-  Status status = shards_[target].inner->Delete(id);
-  const std::uint64_t elapsed =
-      SaturatingElapsed(MonotonicNanos(), start_ns);
-  latency_[target].total.Record(elapsed);
-  latency_[target].service.Record(elapsed);
-  ++counters_[target].ops;
-  if (status.ok() && needs_shard_map_) placement_.Erase(id);
-  return status;
+  return Run(Request::Delete(id));
 }
 
 Status ShardedReallocator::MigrateObject(ObjectId id, std::uint32_t to) {
   owner_fence_.Assert("ShardedReallocator");
-  if (to >= shard_count()) {
-    return Status::InvalidArgument("destination shard " + std::to_string(to) +
-                                   " out of range");
-  }
-  if (!needs_shard_map_) {
-    return Status::FailedPrecondition(
-        "facade keeps no placement map, so a migrated id's shard could "
-        "never be resolved again; build with Options::allow_migration or a "
-        "map-keeping routing policy");
-  }
-  const std::uint32_t from = placement_.Lookup(id, shard_count());
-  if (from == shard_count()) {
-    return Status::NotFound("object " + std::to_string(id) +
-                            " is not live on any shard");
-  }
-  if (from == to) return Status::Ok();
-  if (!shards_[from].inner->DeletesDetachImmediately()) {
-    // The source would defer the physical remove (deamortized mid-flush),
-    // leaving the id placed on the shared parent when the destination
-    // re-places it. Migration waits for the flush to drain.
-    return Status::FailedPrecondition(
-        "source shard " + std::to_string(from) +
-        " defers deletes while its flush drains; retry after it quiesces");
-  }
-  const std::uint64_t size = shards_[from].view->extent_of(id).length;
-  // Shared parent: the source's Delete must retire before the
-  // destination's Insert, or the parent would see the same id placed
-  // twice. Each inner call rides its own shard's view, checkpoint
-  // discipline, and durability log — remove journals on the source's log,
-  // place on the destination's.
-  COSR_RETURN_IF_ERROR(shards_[from].inner->Delete(id));
-  Status placed = shards_[to].inner->Insert(id, size);
-  if (!placed.ok()) {
-    // Restore: the source just freed at least `size`, so re-inserting
-    // there cannot fail.
-    COSR_CHECK_OK(shards_[from].inner->Insert(id, size));
-    return placed;
-  }
-  placement_.Reassign(id, from, to);
-  ++counters_[from].migrations;
-  counters_[from].migrated_bytes += size;
-  ++counters_[to].migrations_in;
-  return Status::Ok();
-}
-
-std::uint64_t ShardedReallocator::reserved_footprint() const {
-  std::uint64_t sum = 0;
-  for (const Shard& shard : shards_) sum += shard.inner->reserved_footprint();
-  return sum;
-}
-
-std::uint64_t ShardedReallocator::volume() const {
-  std::uint64_t sum = 0;
-  for (const Shard& shard : shards_) sum += shard.inner->volume();
-  return sum;
+  // Shared parent: the source's Delete (inside MigrateOut) retires before
+  // the destination's Insert here, or the parent would see the same id
+  // placed twice.
+  return shards_.MigrateOut(id, to, [&](std::uint64_t size) {
+    return shards_.MigrateIn(to, id, size);
+  });
 }
 
 void ShardedReallocator::Quiesce() {
   owner_fence_.Assert("ShardedReallocator");
-  for (Shard& shard : shards_) shard.inner->Quiesce();
+  for (std::uint32_t i = 0; i < shard_count(); ++i) shards_.Quiesce(i);
 }
 
 void ShardedReallocator::CheckpointAll() {
   owner_fence_.Assert("ShardedReallocator");
-  for (Shard& shard : shards_) {
-    if (shard.manager != nullptr) shard.view->Checkpoint();
-  }
-}
-
-std::uint32_t ShardedReallocator::shard_of(ObjectId id) const {
-  if (needs_shard_map_) {
-    return placement_.Lookup(id, shard_count());
-  }
-  const std::uint32_t target = shard_for(id, /*size=*/0);
-  return shards_[target].view->contains(id) ? target : shard_count();
+  for (std::uint32_t i = 0; i < shard_count(); ++i) shards_.Checkpoint(i);
 }
 
 ShardStats ShardedReallocator::Stats() const {
   ShardStats stats;
-  stats.shards.reserve(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const Shard& shard = shards_[i];
-    ShardStats::PerShard per;
-    per.base = shard.view->base();
-    per.objects = shard.view->object_count();
-    per.volume = shard.view->live_volume();
-    per.reserved_footprint = shard.inner->reserved_footprint();
-    per.space_footprint = shard.view->footprint();
-    per.checkpoints =
-        shard.manager != nullptr ? shard.manager->checkpoint_count() : 0;
-    if (shard.log != nullptr) {
-      const LogSink& sink = *shard.log->sink();
-      per.log_syncs = sink.sync_count();
-      per.log_compactions = shard.log->compactions();
-      per.sync_wall_seconds = sink.sync_wall_seconds();
-      per.max_sync_stall_seconds = sink.max_sync_stall_seconds();
-    }
-    per.ops = counters_[i].ops;
-    per.migrations = counters_[i].migrations;
-    per.migrated_bytes = counters_[i].migrated_bytes;
-    per.migrations_in = counters_[i].migrations_in;
-    per.latency_total = latency_[i].total.Snapshot();
-    per.latency_queue_wait = latency_[i].queue_wait.Snapshot();
-    per.latency_service = latency_[i].service.Snapshot();
-    stats.AddShard(per);
+  stats.shards.reserve(shard_count());
+  for (std::uint32_t i = 0; i < shard_count(); ++i) {
+    stats.AddShard(shards_.Snapshot(i));
+    stats.global_max_end =
+        std::max(stats.global_max_end, shards_.root_footprint(i));
   }
-  stats.global_max_end = parent_->footprint();
   return stats;
 }
 

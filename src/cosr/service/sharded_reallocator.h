@@ -4,29 +4,28 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cosr/common/owner_fence.h"
 #include "cosr/common/status.h"
 #include "cosr/common/types.h"
-#include "cosr/durability/move_log.h"
 #include "cosr/realloc/factory.h"
 #include "cosr/realloc/reallocator.h"
-#include "cosr/service/id_placement_map.h"
 #include "cosr/service/routing.h"
+#include "cosr/service/shard_set.h"
 #include "cosr/service/shard_stats.h"
 #include "cosr/service/sub_space_view.h"
 #include "cosr/storage/checkpoint_manager.h"
 #include "cosr/storage/space.h"
+#include "cosr/workload/request.h"
 
 namespace cosr {
 
 /// The service-layer facade: one Reallocator that routes each request to
-/// one of K independent shards. Shard i owns the sub-range
-/// [i * span, (i+1) * span) of the parent Space through a SubSpaceView and
-/// runs its own inner reallocator (any factory algorithm) against that
-/// view; managed algorithms get a private per-shard CheckpointManager, so
-/// each shard's durability discipline is exactly the single-instance one.
+/// one of K independent shards of the shard core (ShardSet), all windows
+/// of one caller-owned parent Space, and runs it inline on the caller's
+/// thread. Managed algorithms get a private per-shard CheckpointManager,
+/// so each shard's durability discipline is exactly the single-instance
+/// one.
 ///
 /// The facade adds no placement logic of its own: with K=1 it is a
 /// zero-cost wrapper, producing the identical operation sequence and
@@ -66,16 +65,15 @@ class ShardedReallocator final : public Reallocator {
   static Status Make(const ReallocatorSpec& inner_spec, const Options& options,
                      Space* parent, std::unique_ptr<ShardedReallocator>* out);
 
-  /// Detaches any durability log adapters from the parent space.
-  ~ShardedReallocator() override;
-
   Status Insert(ObjectId id, std::uint64_t size) override;
   Status Delete(ObjectId id) override;
 
   /// Sum of the shards' reserved footprints — the additive sub-range view
   /// (the global max-end view is in Stats().global_max_end).
-  std::uint64_t reserved_footprint() const override;
-  std::uint64_t volume() const override;
+  std::uint64_t reserved_footprint() const override {
+    return shards_.reserved_footprint();
+  }
+  std::uint64_t volume() const override { return shards_.volume(); }
   void Quiesce() override;
   /// Checkpoints every managed shard — forcing a durable point on every
   /// per-shard move log when the facade was built with a DurabilityHub.
@@ -85,99 +83,55 @@ class ShardedReallocator final : public Reallocator {
 
   ShardStats Stats() const;
 
-  std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
-  RoutingPolicy routing() const { return options_.routing; }
+  std::uint32_t shard_count() const { return shards_.shard_count(); }
+  RoutingPolicy routing() const { return shards_.routing(); }
 
-  /// The routing decision for an (id, size) insert. For kLeastLoaded this
-  /// consults the shards' live volumes (lowest wins, lowest index breaking
-  /// ties — the same gauge the concurrent facade predicts at submit time).
-  /// Volume, not frontier, deliberately: an argmin over frontiers starves
-  /// gap-rich shards — a shard whose frontier is high but mostly free
-  /// would never receive another insert, so its gaps never refill, while
-  /// the low-frontier shards are ratcheted up to meet it. Balancing live
-  /// bytes routes inserts *into* the gaps (a never-move allocator fills
-  /// below its frontier first) and leaves residual frontier imbalance to
-  /// the rebalancer. The other policies are pure functions of (id, size).
-  std::uint32_t shard_for(ObjectId id, std::uint64_t size) const;
+  /// The routing decision for an (id, size) insert (ShardSet::shard_for).
+  std::uint32_t shard_for(ObjectId id, std::uint64_t size) const {
+    return shards_.shard_for(id, size);
+  }
   /// The shard currently holding live object `id`, or shard_count() when
   /// the id is not live.
-  std::uint32_t shard_of(ObjectId id) const;
+  std::uint32_t shard_of(ObjectId id) const { return shards_.shard_of(id); }
 
   /// Whether MigrateObject is usable: the facade keeps the id placement
   /// map (map-keeping routing, or Options::allow_migration).
-  bool migratable() const { return needs_shard_map_; }
+  bool migratable() const { return shards_.keeps_map(); }
 
-  /// Moves live object `id` to shard `to`: Delete on its current shard,
-  /// Insert on `to` (the destination picks its own placement, so the move
-  /// rides the normal batched ApplyMoves/durability machinery of both
-  /// shards — remove on the source's log, place on the destination's), and
-  /// the placement map repoints. Migrating to the current shard is an Ok
-  /// no-op. On a destination insert failure the object is re-inserted on
-  /// its source shard and the error returned (state restored, nothing
-  /// migrated). Counted per shard in Stats() migrations / migrated_bytes /
-  /// migrations_in.
+  /// Moves live object `id` to shard `to` inline: ShardSet::MigrateOut's
+  /// source Delete, then an Insert on `to` that picks its own placement
+  /// (remove on the source's log, place on the destination's). On a
+  /// destination insert failure the object goes back on its source and
+  /// the error is returned, nothing migrated.
   Status MigrateObject(ObjectId id, std::uint32_t to);
 
   const Reallocator& shard(std::uint32_t index) const {
-    return *shards_[index].inner;
+    return shards_.inner(index);
   }
   const SubSpaceView& shard_view(std::uint32_t index) const {
-    return *shards_[index].view;
+    return shards_.view(index);
   }
   /// Shard `index`'s CheckpointManager (nullptr for unmanaged algorithms).
   /// Mutating it (e.g. SetCheckpointHook) must happen from the facade's
   /// owning thread before requests are in flight.
   CheckpointManager* shard_manager(std::uint32_t index) const {
-    return shards_[index].manager.get();
+    return shards_.manager(index);
   }
 
  private:
-  struct Shard {
-    std::unique_ptr<CheckpointManager> manager;  // managed algorithms only
-    std::unique_ptr<SubSpaceView> view;
-    std::unique_ptr<Reallocator> inner;
-    /// The shard's durability log (hub-owned; null without a hub) — kept
-    /// so Stats() can surface the sink's sync/stall counters per shard.
-    MoveLog* log = nullptr;
-  };
+  ShardedReallocator() = default;
 
-  /// Plain per-shard accounting (single owner thread, no atomics): routed
-  /// requests plus the rebalancer's migration counts.
-  struct LocalCounters {
-    std::uint64_t ops = 0;
-    std::uint64_t migrations = 0;
-    std::uint64_t migrated_bytes = 0;
-    std::uint64_t migrations_in = 0;
-  };
-
-  ShardedReallocator(const Options& options, Space* parent)
-      : options_(options), parent_(parent) {}
+  /// Routes, runs and accounts one insert or delete inline, committing
+  /// the route only after the inner call succeeded.
+  Status Run(const Request& op);
 
   /// Debug fence: the facade is thread-compatible, so every request must
   /// come from the thread that issued the first one.
   OwnerThreadFence owner_fence_;
 
-  Options options_;
-  Space* parent_;
-  std::vector<Shard> shards_;
-  /// Durability adapters on the caller-owned parent: the parent's listener
-  /// stream carries every shard's events, so each shard's MoveLog hangs
-  /// behind a RangeScopedListener that keeps only its own sub-range.
-  /// Removed from the parent in the destructor.
-  std::vector<std::unique_ptr<RangeScopedListener>> log_scopes_;
-  /// id -> shard for routing policies that cannot re-derive the shard from
-  /// the id alone (size-class, least-loaded) and for migratable facades
-  /// (hash + allow_migration: a migrated id's hash is stale).
-  IdPlacementMap placement_;
-  bool needs_shard_map_ = false;
-  std::vector<LocalCounters> counters_;  // parallel to shards_
-  /// Per-shard wall-clock op latency, parallel to shards_. On this
-  /// synchronous facade there is no queue, so total == service per sample
-  /// and the queue_wait histogram stays empty — the same ShardStats shape
-  /// as the concurrent facade, with the split degenerating naturally.
-  std::vector<ShardLatencyRecorders> latency_;
+  /// Over the caller-owned parent. With no queue here, each latency
+  /// sample has total == service and queue_wait stays empty.
+  ShardSet shards_;
   std::string name_;
 };
 

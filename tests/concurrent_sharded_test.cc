@@ -181,6 +181,13 @@ TEST(ConcurrentDifferential, CostObliviousK4W4SizeClassRouting) {
                             16);
 }
 
+// Both facades take the least-loaded decision from the shard core's
+// committed volumes, so each shard must see the same op stream here too.
+TEST(ConcurrentDifferential, FirstFitK4W2LeastLoadedRouting) {
+  RunConcurrentDifferential("first-fit", 4, 2, RoutingPolicy::kLeastLoaded,
+                            17);
+}
+
 // ------------------------------------------- K=1/W=1 bare-algorithm identity
 
 struct Event {

@@ -293,6 +293,45 @@ TEST(ShardedFuzz, CheckpointedK4Hash) {
   RunFuzzChurn("checkpointed", 4, RoutingPolicy::kHashId, 104);
 }
 
+// ------------------------------------------------------ per-shard stats
+
+TEST(ShardedStatsTest, FailedOpsAndPeakFootprintReachStats) {
+  constexpr std::uint32_t kShards = 4;
+  AddressSpace parent;
+  ReallocatorSpec spec;
+  spec.algorithm = "cost-oblivious";
+  ShardedReallocator::Options options;
+  options.shard_count = kShards;
+  options.routing = RoutingPolicy::kHashId;
+  std::unique_ptr<ShardedReallocator> sharded;
+  ASSERT_TRUE(ShardedReallocator::Make(spec, options, &parent, &sharded).ok());
+  for (ObjectId id = 0; id < 400; ++id) {
+    ASSERT_TRUE(sharded->Insert(id, (id % 97) + 1).ok());
+  }
+  for (ObjectId id = 0; id < 400; id += 3) {
+    ASSERT_TRUE(sharded->Delete(id).ok());
+  }
+
+  // Hash routing keeps no map, so the absent id reaches its hashed shard,
+  // whose reallocator refuses it.
+  const ObjectId absent = 100000;
+  const std::uint32_t target =
+      RouteToShard(RoutingPolicy::kHashId, kShards, absent, 0);
+  EXPECT_EQ(sharded->Delete(absent).code(), StatusCode::kNotFound);
+
+  const ShardStats stats = sharded->Stats();
+  std::uint64_t ops = 0;
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    const ShardStats::PerShard& per = stats.shards[s];
+    EXPECT_EQ(per.failed_ops, s == target ? 1u : 0u);
+    EXPECT_GT(per.reserved_footprint, 0u);
+    EXPECT_GE(per.peak_reserved_footprint, per.reserved_footprint);
+    ops += per.ops;
+  }
+  EXPECT_EQ(ops, 400u + 134u + 1u);  // inserts, deletes, the failed delete
+}
+
 // ------------------------------------------------------ routing properties
 
 TEST(RoutingPolicyTest, SizeClassSegregatesClasses) {
